@@ -133,7 +133,7 @@ func (e *Explorer) planFor(v *Var) PriorPlan {
 // ones it explicitly pruned — and the latter are all listed here.
 func (e *Explorer) PrunedChoices() []string {
 	out := make([]string, 0, len(e.prunedEver))
-	for k := range e.prunedEver { // nodeterm:ok sorted below
+	for k := range e.prunedEver { // lint:ok map-range sorted below
 		out = append(out, k)
 	}
 	sort.Strings(out)

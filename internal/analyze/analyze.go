@@ -274,7 +274,7 @@ func AnalyzeRun(events []obs.TrialEvent, workers int) (*Run, error) {
 // key's additions happen in the caller's (batch) order, and distinct keys
 // are independent.
 func addMap(dst, src map[string]float64) {
-	for k, v := range src { // nodeterm:ok per-key accumulation is order-independent across keys
+	for k, v := range src { // lint:ok map-range per-key accumulation is order-independent across keys
 		dst[k] += v
 	}
 }
@@ -283,7 +283,7 @@ func addMap(dst, src map[string]float64) {
 // every report emitter uses.
 func sortedKeys(m map[string]float64) []string {
 	out := make([]string, 0, len(m))
-	for k := range m { // nodeterm:ok keys are sorted before use
+	for k := range m { // lint:ok map-range keys are sorted before use
 		out = append(out, k)
 	}
 	sort.Strings(out)

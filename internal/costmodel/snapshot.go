@@ -33,7 +33,7 @@ func (m *Model) Save(w io.Writer) error {
 	m.mu.RLock()
 	snap := snapshotFile{Version: SnapshotVersion, Updates: m.updates,
 		Buckets: make(map[string]snapshotBucket, len(m.buckets))}
-	for _, b := range m.buckets { // nodeterm:ok JSON encoder sorts map keys
+	for _, b := range m.buckets { // lint:ok map-range JSON encoder sorts map keys
 		snap.Buckets[b.key] = snapshotBucket{N: b.n, Mean: b.mean}
 	}
 	m.mu.RUnlock()
@@ -61,7 +61,7 @@ func (m *Model) Load(r io.Reader) error {
 		return fmt.Errorf("costmodel: load: negative update count %d", raw.Updates)
 	}
 	keys := make([]string, 0, len(raw.Buckets))
-	for k := range raw.Buckets { // nodeterm:ok sorted below
+	for k := range raw.Buckets { // lint:ok map-range sorted below
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)

@@ -230,7 +230,7 @@ func (ub *unitBuilder) collectSharedArgCandidates() []candidate {
 		}
 	}
 	buckets := make([]string, 0, len(byBucket))
-	for k := range byBucket { // nodeterm:ok keys sorted below
+	for k := range byBucket { // lint:ok map-range keys sorted below
 		buckets = append(buckets, k)
 	}
 	sort.Strings(buckets)
@@ -250,7 +250,7 @@ func (ub *unitBuilder) collectSharedArgCandidates() []candidate {
 			// which overlapping groups claim first); emit in value-ID
 			// order, never map order.
 			shared := make([]*graph.Value, 0, len(byShared))
-			for v := range byShared { // nodeterm:ok keys sorted below
+			for v := range byShared { // lint:ok map-range keys sorted below
 				shared = append(shared, v)
 			}
 			sort.Slice(shared, func(i, j int) bool { return shared[i].ID < shared[j].ID })
@@ -626,7 +626,7 @@ func (ub *unitBuilder) buildUnits(ewFusion bool) []*Unit {
 	}
 	chainLast := map[*graph.Node]*graph.Node{} // chain head -> last node
 	chainHead := map[*graph.Node]*graph.Node{} // last node -> chain head
-	for n := range chainNext {                 // nodeterm:ok writes distinct keys; unit emission follows g.Nodes order
+	for n := range chainNext {                 // lint:ok map-range writes distinct keys; unit emission follows g.Nodes order
 		if chainHasPrev[n] {
 			continue // not a head
 		}

@@ -20,9 +20,7 @@
 //	for k, v := range bindings { // lint:ok map-range order-independent copy
 //
 // A marker with no reason text is itself reported (rule "suppression"):
-// justify-suppress is the contract, silence is not. The historical marker
-// "nodeterm:ok <reason>" is kept as an alias covering the determinism rule
-// family, so the existing suppressions in the tree keep working.
+// justify-suppress is the contract, silence is not.
 package lint
 
 import (
@@ -146,26 +144,12 @@ func InScope(rel string, scope []string) bool {
 
 // ---- suppression markers ----
 
-// Marker is the current suppression spelling; LegacyMarker the historical
-// nodeterm one, kept so the tree's existing justified suppressions survive
-// the framework migration.
-const (
-	Marker       = "lint:ok"
-	LegacyMarker = "nodeterm:ok"
-)
-
-// LegacyRules is the determinism family the nodeterm:ok alias covers.
-var LegacyRules = map[string]bool{
-	"time-now":    true,
-	"global-rand": true,
-	"map-range":   true,
-	"wall-clock":  true,
-	"env-read":    true,
-}
+// Marker is the suppression spelling.
+const Marker = "lint:ok"
 
 // suppression is one parsed marker comment.
 type suppression struct {
-	rule      string // "" means the legacy whole-family marker
+	rule      string
 	hasReason bool
 	pos       token.Position
 }
@@ -177,19 +161,14 @@ func suppressionsOf(fset *token.FileSet, f *ast.File) map[int][]suppression {
 	out := map[int][]suppression{}
 	for _, cg := range f.Comments {
 		for _, cmt := range cg.List {
-			text := cmt.Text
-			var sup suppression
-			if i := strings.Index(text, LegacyMarker); i >= 0 {
-				rest := strings.Fields(text[i+len(LegacyMarker):])
-				sup = suppression{rule: "", hasReason: len(rest) >= 1}
-			} else if i := strings.Index(text, Marker); i >= 0 {
-				rest := strings.Fields(text[i+len(Marker):])
-				sup = suppression{hasReason: len(rest) >= 2}
-				if len(rest) >= 1 {
-					sup.rule = rest[0]
-				}
-			} else {
+			i := strings.Index(cmt.Text, Marker)
+			if i < 0 {
 				continue
+			}
+			rest := strings.Fields(cmt.Text[i+len(Marker):])
+			sup := suppression{hasReason: len(rest) >= 2}
+			if len(rest) >= 1 {
+				sup.rule = rest[0]
 			}
 			sup.pos = fset.Position(cmt.Pos())
 			line := sup.pos.Line
@@ -200,27 +179,17 @@ func suppressionsOf(fset *token.FileSet, f *ast.File) map[int][]suppression {
 	return out
 }
 
-// knownRule reports whether a name denotes a registered rule (or a
-// determinism-family name, which is registered whenever the nodeterm
-// package is linked in).
+// knownRule reports whether a name denotes a registered rule.
 func knownRule(name string) bool {
-	if _, ok := registry[name]; ok {
-		return true
-	}
-	return LegacyRules[name]
+	_, ok := registry[name]
+	return ok
 }
 
 // covers reports whether the marker suppresses findings of the given rule.
 // A marker without a written reason covers nothing: the justification is
 // the price of the suppression.
 func (s suppression) covers(rule string) bool {
-	if !s.hasReason {
-		return false
-	}
-	if s.rule == "" {
-		return LegacyRules[rule]
-	}
-	return s.rule == rule
+	return s.hasReason && s.rule == rule
 }
 
 // Run executes every applicable rule on the package, filters suppressed
@@ -253,11 +222,7 @@ func Run(p *Package, rules []Rule, rel string, force bool) []Finding {
 				}
 				seen[pos] = true
 				text := cmt.Text
-				if i := strings.Index(text, LegacyMarker); i >= 0 {
-					if len(strings.Fields(text[i+len(LegacyMarker):])) == 0 {
-						out = append(out, NewFinding(pos, "suppression", "nodeterm:ok marker without a written reason"))
-					}
-				} else if i := strings.Index(text, Marker); i >= 0 {
+				if i := strings.Index(text, Marker); i >= 0 {
 					// Only a marker that names a real rule is held to the
 					// reason requirement: prose that mentions the spelling
 					// ("… lint:ok markers …") is not a suppression — and a

@@ -86,14 +86,11 @@ func Sum(m map[string]int) int {
 	}
 }
 
-func TestSuppressionModernAndLegacy(t *testing.T) {
+func TestSuppressionModern(t *testing.T) {
 	fs := linttest.Check(t, family(t), `package pkg
 func Sum(m map[string]int) int {
 	s := 0
 	for _, v := range m { // lint:ok map-range order-independent sum
-		s += v
-	}
-	for _, v := range m { // nodeterm:ok commutative fold
 		s += v
 	}
 	return s

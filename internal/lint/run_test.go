@@ -37,9 +37,6 @@ func (r fakeRule) Check(p *Package) []Finding {
 
 func init() {
 	Register(fakeRule{name: "fake-bad", scope: []string{"pkg"}})
-	// Registered under a determinism-family name so the legacy nodeterm:ok
-	// alias tests run against the real covers() path.
-	Register(fakeRule{name: "time-now", scope: []string{"pkg"}})
 }
 
 // parseFixture builds a Package straight from source — fake rules read only
@@ -111,24 +108,18 @@ func TestRunSuppression(t *testing.T) {
 	}
 }
 
-func TestRunLegacyAlias(t *testing.T) {
-	rules := []Rule{fakeRule{name: "time-now"}}
-
-	covered := parseFixture(t, "package pkg\n\nfunc Bad() {} // nodeterm:ok historical justification\n")
-	if got := Run(covered, rules, "pkg", true); len(got) != 0 {
-		t.Errorf("legacy marker did not suppress determinism-family rule: %v", got)
-	}
-
-	// The legacy alias covers only the determinism family.
-	other := parseFixture(t, "package pkg\n\nfunc Bad() {} // nodeterm:ok historical justification\n")
-	if got := Run(other, []Rule{fakeRule{name: "fake-bad"}}, "pkg", true); len(got) != 1 {
-		t.Errorf("legacy marker suppressed a non-family rule: %v", got)
-	}
-
-	bare := parseFixture(t, "package pkg\n\nfunc Bad() {} // nodeterm:ok\n")
-	got := Run(bare, rules, "pkg", true)
-	if len(got) != 2 {
-		t.Errorf("reason-less legacy marker: %v", got)
+// TestRunRetiredMarkerSuppressesNothing: the pre-v2 "nodeterm:ok" spelling
+// is an ordinary comment now — it silences no rule and is not itself held
+// to the marker format.
+func TestRunRetiredMarkerSuppressesNothing(t *testing.T) {
+	for _, src := range []string{
+		"package pkg\n\nfunc Bad() {} // nodeterm:ok historical justification\n",
+		"package pkg\n\nfunc Bad() {} // nodeterm:ok\n",
+	} {
+		got := Run(parseFixture(t, src), []Rule{fakeRule{name: "fake-bad"}}, "pkg", true)
+		if len(got) != 1 || got[0].Rule != "fake-bad" {
+			t.Errorf("%q: want the rule's finding alone, got %v", src, got)
+		}
 	}
 }
 

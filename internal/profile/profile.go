@@ -503,7 +503,7 @@ type Entry struct {
 func (ix *Index) Entries() []Entry {
 	snap := ix.snapshot()
 	out := make([]Entry, 0, len(snap))
-	for k, st := range snap { // nodeterm:ok sorted below
+	for k, st := range snap { // lint:ok map-range sorted below
 		out = append(out, Entry{Key: k, Stats: st})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })

@@ -95,7 +95,7 @@ type LoadReport struct {
 // Signatures returns the report's signatures, sorted.
 func (r *LoadReport) Signatures() []string {
 	out := make([]string, 0, len(r.ColdWiredUs))
-	for sig := range r.ColdWiredUs { // nodeterm:ok sorted below
+	for sig := range r.ColdWiredUs { // lint:ok map-range sorted below
 		out = append(out, sig)
 	}
 	sort.Strings(out)

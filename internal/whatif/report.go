@@ -20,7 +20,7 @@ func topBlame(blame map[string]float64) string {
 
 func sortedBlameKeys(m map[string]float64) []string {
 	keys := make([]string, 0, len(m))
-	for k := range m { // nodeterm:ok sorted below
+	for k := range m { // lint:ok map-range sorted below
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)

@@ -62,7 +62,7 @@ type Perturbation struct {
 
 // Identity reports whether the perturbation changes nothing.
 func (p Perturbation) Identity() bool {
-	for _, f := range p.Speedups { // nodeterm:ok order-independent any-match
+	for _, f := range p.Speedups { // lint:ok map-range order-independent any-match
 		if f != 1 {
 			return false
 		}
@@ -91,7 +91,7 @@ func (p Perturbation) bucketFactor() float64 {
 // validate checks the perturbation against the recorded run's metadata.
 func (p Perturbation) validate(meta RunMeta) error {
 	classes := make([]string, 0, len(p.Speedups))
-	for class := range p.Speedups { // nodeterm:ok sorted below
+	for class := range p.Speedups { // lint:ok map-range sorted below
 		classes = append(classes, class)
 	}
 	sort.Strings(classes)
