@@ -75,9 +75,10 @@ func TestProfileRecordAllocBudget(t *testing.T) {
 }
 
 // TestWiredStepAllocBudget pins the full wired mini-batch (dispatch + DES
-// simulation) for the paper-scale subLSTM. Measured steady state is ~2.3k
-// allocations per step (down from ~13.3k before pooling); the budget fails
-// the test if the hot path regresses toward the old profile.
+// simulation) for the paper-scale subLSTM. Measured steady state is 2
+// allocations per step now that wired steps replay one lowered schedule
+// (~2.3k before that, ~13.3k before pooling); the budget fails the test if
+// the hot path regresses toward the old profile.
 func TestWiredStepAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("explores a paper-scale model")

@@ -19,6 +19,7 @@ package kernels
 
 import (
 	"fmt"
+	"strconv"
 
 	"astra/internal/gpusim"
 	"astra/internal/graph"
@@ -72,7 +73,16 @@ func (l Library) String() string {
 type GEMMShape struct{ M, K, N int }
 
 // String renders the shape as in Table 1 ("MxKxN").
-func (s GEMMShape) String() string { return fmt.Sprintf("%dx%dx%d", s.M, s.K, s.N) }
+func (s GEMMShape) String() string { return string(s.appendTo(nil)) }
+
+// appendTo appends the shape as "MxKxN".
+func (s GEMMShape) appendTo(b []byte) []byte {
+	b = strconv.AppendInt(b, int64(s.M), 10)
+	b = append(b, 'x')
+	b = strconv.AppendInt(b, int64(s.K), 10)
+	b = append(b, 'x')
+	return strconv.AppendInt(b, int64(s.N), 10)
+}
 
 // Flops returns the multiply-add count of the GEMM.
 func (s GEMMShape) Flops() int64 { return 2 * int64(s.M) * int64(s.K) * int64(s.N) }
@@ -187,10 +197,20 @@ func GEMM(l Library, s GEMMShape) gpusim.KernelSpec {
 		tileTime /= float64(f)
 	}
 	return gpusim.KernelSpec{
-		Name:       fmt.Sprintf("gemm_%s_%s", l, s),
+		Name:       gemmName(l, s),
 		Tiles:      tiles,
 		TileTimeUs: tileTime,
 	}
+}
+
+// gemmName renders "gemm_<library>_<MxKxN>" with a single allocation:
+// schedules name every GEMM they lower.
+func gemmName(l Library, s GEMMShape) string {
+	var buf [48]byte
+	b := append(buf[:0], "gemm_"...)
+	b = append(b, l.String()...)
+	b = append(b, '_')
+	return string(s.appendTo(b))
 }
 
 // GEMMTimeAloneUs returns the device time of the GEMM when it runs alone on
@@ -224,7 +244,7 @@ func FusedElementwise(ops, elems int) gpusim.KernelSpec {
 	if ops <= 0 {
 		panic("kernels: fused elementwise with no ops")
 	}
-	spec := Elementwise(fmt.Sprintf("fused%d", ops), elems)
+	spec := Elementwise("fused"+strconv.Itoa(ops), elems)
 	spec.TileTimeUs *= 1 + 0.2*float64(ops-1)
 	return spec
 }

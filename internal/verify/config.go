@@ -8,13 +8,14 @@ import (
 	"astra/internal/enumerate"
 )
 
-// CheckSchedule runs the configuration-level analyses over a symbolic
+// CheckSchedule runs the configuration-level analyses over a lowered
 // schedule: deadlock, cross-stream races, end-of-batch synchronization,
 // fusion legality, and comm-bucket coverage and ordering. The config string
-// labels findings with the variable bindings the schedule was built under.
+// labels findings with the variable bindings the schedule was lowered under.
 func CheckSchedule(p *enumerate.Plan, s *Schedule, config string) *Report {
 	r := &Report{}
-	hb := simulate(s)
+	v := viewOf(s)
+	hb := simulate(s, v)
 	if hb.deadlocked {
 		for _, bl := range hb.blocked {
 			r.Add("sched.deadlock", config, bl)
@@ -26,13 +27,13 @@ func CheckSchedule(p *enumerate.Plan, s *Schedule, config string) *Report {
 	// Races: every unit dependency needs a happens-before edge from the
 	// dependency's last op to the dependent's first.
 	for _, u := range p.Units {
-		first, ok := s.FirstOp[u]
+		first, ok := v.first[u]
 		if !ok {
 			r.Add("sched.race", config, fmt.Sprintf("unit %s never dispatched", u.ID))
 			continue
 		}
 		for _, d := range u.Deps {
-			last, ok := s.LastOp[d]
+			last, ok := v.last[d]
 			if !ok {
 				continue // reported as never-dispatched above
 			}
@@ -46,12 +47,13 @@ func CheckSchedule(p *enumerate.Plan, s *Schedule, config string) *Report {
 	// batch-end marker on stream 0 — the super-epoch barriers join the
 	// compute streams and the explicit comm join covers the exchange; a
 	// dropped barrier shows up here.
-	end := Pos{Stream: 0, Index: len(s.Streams[0]) - 1}
-	if end.Index < 0 || s.Streams[0][end.Index].Kind != OpEnd {
+	end := Pos{Stream: 0, Index: len(v.streams[0]) - 1}
+	if end.Index < 0 || v.op(s, end).Kind != OpEnd {
 		r.Add("sched.endsync", config, "schedule has no batch-end marker on stream 0")
 	} else {
-		for st, ops := range s.Streams {
-			for i, op := range ops {
+		for st, idx := range v.streams {
+			for i, oi := range idx {
+				op := &s.Ops[oi]
 				if op.Kind != OpKernel && op.Kind != OpCopy {
 					continue
 				}
@@ -59,7 +61,7 @@ func CheckSchedule(p *enumerate.Plan, s *Schedule, config string) *Report {
 					continue // program order
 				}
 				if !hb.happensBefore(Pos{Stream: st, Index: i}, end) {
-					r.Add("sched.endsync", config, fmt.Sprintf("kernel %q on stream %d is not synchronized before batch end", op.Name, st))
+					r.Add("sched.endsync", config, fmt.Sprintf("kernel %q on stream %d is not synchronized before batch end", op.Kernel.Name, st))
 				}
 			}
 		}
@@ -67,31 +69,33 @@ func CheckSchedule(p *enumerate.Plan, s *Schedule, config string) *Report {
 
 	// Fusion legality: a fused chunk reads its operands as one block, which
 	// is only sound if the active strategy lays the group's request out
-	// contiguously or a gather copy staged the chunk immediately before.
-	for st, ops := range s.Streams {
-		for i, op := range ops {
+	// contiguously or a gather copy staged the chunk immediately before on
+	// its stream.
+	for st, idx := range v.streams {
+		for i, oi := range idx {
+			op := &s.Ops[oi]
 			if op.Kind != OpKernel || op.Group == nil || op.Members < 2 {
 				continue
 			}
 			if op.Group.ReqID != "" && s.Alloc.Contiguous(op.Group.ReqID) {
 				continue
 			}
-			if i > 0 && ops[i-1].Kind == OpCopy && ops[i-1].Group == op.Group {
+			if i > 0 && s.Ops[idx[i-1]].Kind == OpCopy && s.Ops[idx[i-1]].Group == op.Group {
 				continue
 			}
 			r.Add("sched.fusion", config, fmt.Sprintf("fused chunk of %s (%d members, stream %d) has non-contiguous operands and no gather copy", op.Group.ID, op.Members, st))
 		}
 	}
 
-	r.Merge(checkComm(p, s, hb, config))
+	r.Merge(checkComm(p, s, v, hb, config))
 	return r
 }
 
 // checkComm validates the gradient exchange: every gradient in exactly one
-// bucket (the schedule's packing must match an independent repacking), each
+// bucket (the schedule's packing must match a fresh repacking), each
 // bucket issuing exactly 2·(n−1) ring steps on one stream, and each
 // bucket's first step ordered after every one of its producing units.
-func checkComm(p *enumerate.Plan, s *Schedule, hb *hbResult, config string) *Report {
+func checkComm(p *enumerate.Plan, s *Schedule, v *streamView, hb *hbResult, config string) *Report {
 	r := &Report{}
 	if s.Workers < 2 || len(p.Grads) == 0 {
 		if len(s.Buckets) > 0 {
@@ -121,9 +125,9 @@ func checkComm(p *enumerate.Plan, s *Schedule, hb *hbResult, config string) *Rep
 
 	// Ring steps: collect each bucket's step kernels.
 	steps := make(map[int][]Pos)
-	for st, ops := range s.Streams {
-		for i, op := range ops {
-			if op.Kind == OpKernel && op.Bucket >= 0 {
+	for st, idx := range v.streams {
+		for i, oi := range idx {
+			if op := &s.Ops[oi]; op.Kind == OpKernel && op.Bucket >= 0 {
 				steps[op.Bucket] = append(steps[op.Bucket], Pos{Stream: st, Index: i})
 			}
 		}
@@ -150,7 +154,7 @@ func checkComm(p *enumerate.Plan, s *Schedule, hb *hbResult, config string) *Rep
 		// Launch-after-producer: the first ring step must be ordered after
 		// the last op of every unit producing a gradient in the bucket.
 		for _, u := range b.Units {
-			last, ok := s.LastOp[u]
+			last, ok := v.last[u]
 			if !ok {
 				continue
 			}
@@ -167,10 +171,10 @@ func checkComm(p *enumerate.Plan, s *Schedule, hb *hbResult, config string) *Rep
 	return r
 }
 
-// packBuckets independently repacks the plan's gradients under a byte cap,
-// mirroring the wirer's dispatch-order packing. The schedule builder and
-// the coverage check both use it; wire has its own copy, so a packing bug
-// there diverges from this one and fails the comparison.
+// packBuckets packs the plan's gradients in dispatch order under a byte cap:
+// a bucket closes once its payload reaches the cap. Lower packs with it, and
+// the coverage check repacks with it, so buckets altered after lowering
+// fail the comparison.
 func packBuckets(p *enumerate.Plan, capBytes int64) []Bucket {
 	var out []Bucket
 	var cur Bucket
@@ -195,11 +199,11 @@ func packBuckets(p *enumerate.Plan, capBytes int64) []Bucket {
 	return out
 }
 
-// CheckConfig verifies the plan's *current* variable bindings: it builds
-// the symbolic schedule the wirer would dispatch and runs every
-// configuration-level analysis on it.
+// CheckConfig verifies the plan's *current* variable bindings: it lowers
+// the schedule the wirer dispatches and runs every configuration-level
+// analysis on it.
 func CheckConfig(p *enumerate.Plan, spec Spec) *Report {
-	s := BuildSchedule(p, spec)
+	s := Lower(p, spec)
 	r := CheckSchedule(p, s, BindingLabel(p))
 	r.Configs = 1
 	return r
@@ -283,7 +287,7 @@ func SweepConfigs(p *enumerate.Plan, spec Spec) *Report {
 		}
 		seen[sig] = true
 		r.Configs++
-		s := BuildSchedule(p, spec)
+		s := Lower(p, spec)
 		r.Merge(CheckSchedule(p, s, BindingLabel(p)))
 	}
 

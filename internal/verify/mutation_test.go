@@ -149,20 +149,15 @@ func mutSpec() Spec { return Spec{Workers: mutSpecWorkers} }
 func TestCheckScheduleDetectsDeadlock(t *testing.T) {
 	p := planFor(t, "scrnn")
 	bindMultiStream(p)
-	s := BuildSchedule(p, mutSpec())
+	s := Lower(p, mutSpec())
 	mutated := false
-	for st := range s.Streams {
-		for i := range s.Streams[st] {
-			if s.Streams[st][i].Kind == OpWait {
-				// Point the wait at an event nothing ever records: the
-				// symbolic device hangs exactly like the real one would.
-				s.Streams[st][i].Event = s.NumEvents
-				s.NumEvents++
-				mutated = true
-				break
-			}
-		}
-		if mutated {
+	for i := range s.Ops {
+		if s.Ops[i].Kind == OpWait {
+			// Point the wait at an event nothing ever records: the
+			// symbolic device hangs exactly like the real one would.
+			s.Ops[i].Event = s.NumEvents
+			s.NumEvents++
+			mutated = true
 			break
 		}
 	}
@@ -178,24 +173,22 @@ func TestCheckScheduleDetectsDeadlock(t *testing.T) {
 func TestCheckScheduleDetectsRace(t *testing.T) {
 	p := planFor(t, "scrnn")
 	bindMultiStream(p)
-	if r := CheckSchedule(p, BuildSchedule(p, mutSpec()), "base"); !r.OK() {
+	if r := CheckSchedule(p, Lower(p, mutSpec()), "base"); !r.OK() {
 		t.Fatalf("baseline schedule not clean: %v", r.Findings)
 	}
 	// Drop synchronization edges one at a time (a wait becomes an inert
 	// record): at least one dropped wait must surface as a cross-stream
 	// race, or the race analysis is blind.
-	base := BuildSchedule(p, mutSpec())
-	for st := range base.Streams {
-		for i, op := range base.Streams[st] {
-			if op.Kind != OpWait {
-				continue
-			}
-			s := BuildSchedule(p, mutSpec())
-			s.Streams[st][i] = Op{Kind: OpRecord, Name: "dropped-wait", Event: s.NumEvents, Bucket: -1}
-			s.NumEvents++
-			if r := CheckSchedule(p, s, "mutant"); hasCheck(r, "sched.race") {
-				return // detected
-			}
+	base := Lower(p, mutSpec())
+	for i, op := range base.Ops {
+		if op.Kind != OpWait {
+			continue
+		}
+		s := Lower(p, mutSpec())
+		s.Ops[i] = Op{Kind: OpRecord, Stream: op.Stream, Event: s.NumEvents, Bucket: -1}
+		s.NumEvents++
+		if r := CheckSchedule(p, s, "mutant"); hasCheck(r, "sched.race") {
+			return // detected
 		}
 	}
 	t.Fatal("no dropped wait produced a sched.race finding")
@@ -210,13 +203,11 @@ func TestCheckScheduleDetectsIllegalFusion(t *testing.T) {
 			v.SetChoice(len(v.Labels) - 1)
 		}
 	}
-	s := BuildSchedule(p, mutSpec())
+	s := Lower(p, mutSpec())
 	fused := 0
-	for _, ops := range s.Streams {
-		for _, op := range ops {
-			if op.Kind == OpKernel && op.Group != nil && op.Members >= 2 {
-				fused++
-			}
+	for _, op := range s.Ops {
+		if op.Kind == OpKernel && op.Group != nil && op.Members >= 2 {
+			fused++
 		}
 	}
 	if fused == 0 {
@@ -234,17 +225,12 @@ func TestCheckScheduleDetectsIllegalFusion(t *testing.T) {
 	}
 	// Mutation 2: detach a gather copy from its group — the fused chunk
 	// right after it loses its staged operands.
-	s = BuildSchedule(p, mutSpec())
+	s = Lower(p, mutSpec())
 	detached := false
-	for st := range s.Streams {
-		for i := range s.Streams[st] {
-			if s.Streams[st][i].Kind == OpCopy && s.Streams[st][i].Group != nil {
-				s.Streams[st][i].Group = nil
-				detached = true
-				break
-			}
-		}
-		if detached {
+	for i := range s.Ops {
+		if s.Ops[i].Kind == OpCopy && s.Ops[i].Group != nil {
+			s.Ops[i].Group = nil
+			detached = true
 			break
 		}
 	}
@@ -259,7 +245,7 @@ func TestCheckScheduleDetectsIllegalFusion(t *testing.T) {
 func TestCheckScheduleDetectsBucketCorruption(t *testing.T) {
 	p := planFor(t, "scrnn")
 	resetVars(p)
-	s := BuildSchedule(p, mutSpec())
+	s := Lower(p, mutSpec())
 	if len(s.Buckets) == 0 {
 		t.Fatal("schedule has no comm buckets")
 	}
@@ -276,34 +262,37 @@ func TestCheckScheduleDetectsBucketCorruption(t *testing.T) {
 func TestCheckScheduleDetectsEarlyBucketLaunch(t *testing.T) {
 	p := planFor(t, "scrnn")
 	resetVars(p)
-	base := BuildSchedule(p, mutSpec())
+	base := Lower(p, mutSpec())
 	if len(base.Buckets) == 0 {
 		t.Fatal("schedule has no comm buckets")
 	}
 	// Drop the readiness waits ahead of ring steps one at a time: the
 	// exchange must be seen launching before its producers complete.
-	for st := range base.Streams {
-		for i, op := range base.Streams[st] {
-			if op.Kind != OpWait {
+	for i, op := range base.Ops {
+		if op.Kind != OpWait {
+			continue
+		}
+		// Only waits at most four ops of their stream ahead of a comm
+		// step are candidates.
+		ahead := false
+		for j, seen := i+1, 0; j < len(base.Ops) && seen < 4; j++ {
+			if base.Ops[j].Stream != op.Stream {
 				continue
 			}
-			// Only waits immediately ahead of a comm step are candidates.
-			ahead := false
-			for j := i + 1; j < len(base.Streams[st]) && j <= i+4; j++ {
-				if base.Streams[st][j].Kind == OpKernel && base.Streams[st][j].Bucket >= 0 {
-					ahead = true
-					break
-				}
+			seen++
+			if base.Ops[j].Kind == OpKernel && base.Ops[j].Bucket >= 0 {
+				ahead = true
+				break
 			}
-			if !ahead {
-				continue
-			}
-			s := BuildSchedule(p, mutSpec())
-			s.Streams[st][i] = Op{Kind: OpRecord, Name: "dropped-ready-wait", Event: s.NumEvents, Bucket: -1}
-			s.NumEvents++
-			if r := CheckSchedule(p, s, "mutant"); hasCheck(r, "comm.order") {
-				return
-			}
+		}
+		if !ahead {
+			continue
+		}
+		s := Lower(p, mutSpec())
+		s.Ops[i] = Op{Kind: OpRecord, Stream: op.Stream, Event: s.NumEvents, Bucket: -1}
+		s.NumEvents++
+		if r := CheckSchedule(p, s, "mutant"); hasCheck(r, "comm.order") {
+			return
 		}
 	}
 	t.Fatal("no dropped readiness wait produced a comm.order finding")
@@ -312,14 +301,14 @@ func TestCheckScheduleDetectsEarlyBucketLaunch(t *testing.T) {
 func TestCheckScheduleDetectsMissingEndSync(t *testing.T) {
 	p := planFor(t, "scrnn")
 	bindMultiStream(p)
-	s := BuildSchedule(p, mutSpec())
+	s := Lower(p, mutSpec())
 	// Decapitate the batch-end marker: the schedule no longer proves the
 	// device drained before the batch is declared done.
-	last := len(s.Streams[0]) - 1
-	if last < 0 || s.Streams[0][last].Kind != OpEnd {
+	last := len(s.Ops) - 1
+	if last < 0 || s.Ops[last].Kind != OpEnd || s.Ops[last].Stream != 0 {
 		t.Fatal("schedule has no batch-end marker")
 	}
-	s.Streams[0][last] = Op{Kind: OpRecord, Name: "not-an-end", Event: s.NumEvents, Bucket: -1}
+	s.Ops[last] = Op{Kind: OpRecord, Stream: 0, Event: s.NumEvents, Bucket: -1}
 	s.NumEvents++
 	r := CheckSchedule(p, s, "mutant")
 	if !hasCheck(r, "sched.endsync") {

@@ -27,7 +27,7 @@ func TestQuickStrategiesAliasFree(t *testing.T) {
 
 // TestQuickRandomBindingsScheduleSafe samples the configuration space at
 // random — every adaptive variable set to an arbitrary choice, far beyond
-// the per-dimension sweep astra-vet walks — and requires the symbolic
+// the per-dimension sweep astra-vet walks — and requires the lowered
 // schedule to stay free of deadlocks, races, illegal fusion and exchange
 // corruption at every sampled point.
 func TestQuickRandomBindingsScheduleSafe(t *testing.T) {
@@ -41,7 +41,7 @@ func TestQuickRandomBindingsScheduleSafe(t *testing.T) {
 		for _, v := range vars {
 			v.SetChoice(rng.Intn(len(v.Labels)))
 		}
-		s := BuildSchedule(p, Spec{Workers: 2})
+		s := Lower(p, Spec{Workers: 2})
 		r := CheckSchedule(p, s, "quick")
 		if !r.OK() {
 			t.Logf("seed %d: %v", seed, r.Findings)

@@ -14,13 +14,13 @@
 //     two buffers aliasing, satisfied contiguity requests actually
 //     contiguous).
 //
-//   - Configuration-level (run per binding of the adaptive variables): a
-//     symbolic schedule is built by mirroring the custom-wirer's dispatch —
+//   - Configuration-level (run per binding of the adaptive variables):
+//     Lower turns the binding into the schedule the custom-wirer executes —
 //     kernels, RecordEvent/WaitEvent edges, gather copies, comm buckets —
-//     and checked with a vector-clock happens-before analysis for
-//     cross-stream races and wait-cycle deadlocks, fusion legality
-//     (contiguous-or-copied operands for every fused chunk), end-of-batch
-//     synchronization, and comm-bucket coverage and ordering.
+//     and that same schedule is checked with a vector-clock happens-before
+//     analysis for cross-stream races and wait-cycle deadlocks, fusion
+//     legality (contiguous-or-copied operands for every fused chunk),
+//     end-of-batch synchronization, and comm-bucket coverage and ordering.
 //
 // Every analysis returns Findings rather than errors so callers can collect
 // the complete picture; Report.Err() folds a non-empty report into a single

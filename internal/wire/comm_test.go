@@ -10,6 +10,7 @@ import (
 	"astra/internal/gpusim"
 	"astra/internal/models"
 	"astra/internal/obs"
+	"astra/internal/verify"
 )
 
 func commSession(t *testing.T, workers int, adapt bool, cfgMod func(*SessionConfig)) *Session {
@@ -91,21 +92,21 @@ func TestBucketPartitionRespectsCap(t *testing.T) {
 	s := commSession(t, 4, false, func(cfg *SessionConfig) {
 		cfg.Comm.DefaultBucketKB = 1 // 1 KB cap: tiny model grads overflow it
 	})
-	cs := s.Runner.prepareComm()
-	if cs == nil {
-		t.Fatal("no comm state")
+	sched := s.Runner.schedule()
+	if sched.CommStream < 0 {
+		t.Fatal("schedule has no gradient exchange")
 	}
-	if len(cs.buckets) < 2 {
-		t.Fatalf("1 KB cap produced %d bucket(s)", len(cs.buckets))
+	if len(sched.Buckets) < 2 {
+		t.Fatalf("1 KB cap produced %d bucket(s)", len(sched.Buckets))
 	}
 	var total int64
 	grads := 0
-	for i, b := range cs.buckets {
-		total += b.bytes
-		grads += b.grads
+	for i, b := range sched.Buckets {
+		total += b.Bytes
+		grads += b.Grads
 		// Every bucket but the last must have hit the cap.
-		if i < len(cs.buckets)-1 && b.bytes < 1024 {
-			t.Fatalf("bucket %d closed below cap: %d bytes", i, b.bytes)
+		if i < len(sched.Buckets)-1 && b.Bytes < 1024 {
+			t.Fatalf("bucket %d closed below cap: %d bytes", i, b.Bytes)
 		}
 	}
 	if total != s.Plan.GradBytes() {
@@ -117,23 +118,37 @@ func TestBucketPartitionRespectsCap(t *testing.T) {
 
 	// Cap 0: one bucket with everything.
 	one := commSession(t, 4, false, nil)
-	cs = one.Runner.prepareComm()
-	if len(cs.buckets) != 1 || cs.buckets[0].bytes != one.Plan.GradBytes() {
-		t.Fatalf("uncapped partition: %+v", cs.buckets)
+	sched = one.Runner.schedule()
+	if len(sched.Buckets) != 1 || sched.Buckets[0].Bytes != one.Plan.GradBytes() {
+		t.Fatalf("uncapped partition: %+v", sched.Buckets)
 	}
+}
+
+// ringStream returns the stream a schedule issues its ring steps on.
+func ringStream(t *testing.T, s *Session) int {
+	t.Helper()
+	for _, op := range s.Runner.schedule().Ops {
+		if op.Kind == verify.OpKernel && op.Bucket >= 0 {
+			return op.Stream
+		}
+	}
+	t.Fatal("schedule issues no ring steps")
+	return -1
 }
 
 func TestCommPlacementStreams(t *testing.T) {
 	overlap := commSession(t, 4, false, nil)
-	cs := overlap.Runner.prepareComm()
-	if cs.stream != overlap.Runner.CommStream() || cs.stream == 0 {
-		t.Fatalf("default placement should use the dedicated comm stream, got %d", cs.stream)
+	if got := ringStream(t, overlap); got != overlap.Runner.CommStream() || got == 0 {
+		t.Fatalf("default placement should use the dedicated comm stream, got %d", got)
+	}
+	if cs := overlap.Runner.schedule().CommStream; cs != overlap.Runner.CommStream() {
+		t.Fatalf("schedule reserves comm stream %d, runner %d", cs, overlap.Runner.CommStream())
 	}
 	bulk := commSession(t, 4, false, func(cfg *SessionConfig) {
 		cfg.Comm.DefaultPlacement = "main"
 	})
-	if cs = bulk.Runner.prepareComm(); cs.stream != 0 {
-		t.Fatalf("main placement should use stream 0, got %d", cs.stream)
+	if got := ringStream(t, bulk); got != 0 {
+		t.Fatalf("main placement should use stream 0, got %d", got)
 	}
 }
 

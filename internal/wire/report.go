@@ -68,13 +68,12 @@ func (s *Session) Report() ScheduleReport {
 	}
 	sort.Slice(r.Groups, func(i, j int) bool { return r.Groups[i].ID < r.Groups[j].ID })
 	if p.Opts.StreamAdapt {
-		for _, se := range p.Supers {
-			for _, ep := range se.Epochs {
-				assign := s.Runner.streamAssignment(&s.Runner.st, ep)
-				for _, st := range assign { // nodeterm:ok commutative counting
-					r.StreamSplit[st]++
-				}
+		var prev *enumerate.Unit
+		for _, op := range s.Runner.schedule().Ops {
+			if op.Unit != nil && op.Unit != prev {
+				r.StreamSplit[op.Stream]++
 			}
+			prev = op.Unit
 		}
 	}
 	return r
@@ -87,7 +86,7 @@ func (r ScheduleReport) String() string {
 	fmt.Fprintf(&b, "schedule: %d super-epochs, %d epochs\n", r.SuperEpochs, r.Epochs)
 	if len(r.StreamSplit) > 0 {
 		streams := make([]int, 0, len(r.StreamSplit))
-		for s := range r.StreamSplit { // nodeterm:ok keys sorted below
+		for s := range r.StreamSplit { // lint:ok map-range keys sorted below
 			streams = append(streams, s)
 		}
 		sort.Ints(streams)
