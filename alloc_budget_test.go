@@ -17,6 +17,7 @@ import (
 	"astra/internal/kernels"
 	"astra/internal/models"
 	"astra/internal/profile"
+	"astra/internal/spec"
 	"astra/internal/wire"
 )
 
@@ -107,12 +108,12 @@ func TestWiredStepAllocBudget(t *testing.T) {
 // here becomes fleet-wide GC pressure.
 func TestCostModelPredictAllocBudget(t *testing.T) {
 	m := costmodel.NewModel()
-	meta := costmodel.Meta{Model: "sublstm", Scale: "default", Batch: 16, Workers: 4, Fabric: "pcie3"}
+	meta := spec.Spec{Model: "sublstm", Scale: "default", Batch: 16, Workers: 4, Fabric: "pcie3"}
 	labels := []string{"1", "2", "4", "8"}
 	for _, l := range labels {
 		m.Observe(meta, "g0.chunk", l, 100)
 	}
-	cold := costmodel.Meta{Model: "unseen", Batch: 64}
+	cold := spec.Spec{Model: "unseen", Batch: 64}
 	avg := testing.AllocsPerRun(100, func() {
 		for _, l := range labels {
 			m.Predict(meta, "g0.chunk", l)  // L0 hit

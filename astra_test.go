@@ -222,7 +222,8 @@ func TestLevelPresetPanicsOnGarbage(t *testing.T) {
 			t.Fatal("bad level accepted")
 		}
 	}()
-	Level("nope").preset()
+	m, _ := BuildModel("scrnn", ModelConfig{Batch: 2, Tiny: true})
+	Compile(m, Options{Level: "nope"})
 }
 
 func TestWarmStartThroughPublicAPI(t *testing.T) {

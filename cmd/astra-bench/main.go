@@ -25,12 +25,12 @@ import (
 	"time"
 
 	"astra/internal/analyze"
-	"astra/internal/enumerate"
-	"astra/internal/gpusim"
+	"astra/internal/atomicfile"
 	"astra/internal/harness"
 	"astra/internal/models"
 	"astra/internal/obs"
 	"astra/internal/parallel"
+	"astra/internal/spec"
 	"astra/internal/wire"
 )
 
@@ -86,11 +86,7 @@ func attributionProbe() (*AttributionReport, error) {
 	}
 	mcfg := models.Config{Batch: 16, SeqLen: 3, Hidden: 1024, Embed: 128,
 		Vocab: 100, Embedding: true, Backward: true}
-	s := wire.NewSession(build(mcfg), wire.SessionConfig{
-		Device:  gpusim.P100(),
-		Options: enumerate.PresetOptions(enumerate.PresetF),
-		Runner:  wire.RunnerConfig{PerOpCPUUs: 2},
-	})
+	s := wire.NewSession(build(mcfg), wire.Config(spec.New("sublstm", spec.ScaleCustom, 16, spec.PresetF)))
 	tel := obs.NewTelemetry()
 	var sink bytes.Buffer
 	tel.SetEventSink(&sink)
@@ -231,20 +227,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// writeTo runs emit against the named file, or stdout when path is "-".
+// writeTo runs emit against the named file (replaced crash-safely), or
+// stdout when path is "-".
 func writeTo(path string, stdout io.Writer, emit func(io.Writer) error) error {
 	if path == "-" {
 		return emit(stdout)
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := emit(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return atomicfile.WriteFile(path, emit)
 }
 
 // wallFloorNs exempts sub-100ms experiments from the wall-clock guard:

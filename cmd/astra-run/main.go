@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"astra"
+	"astra/internal/atomicfile"
 	"astra/internal/baselines"
 	"astra/internal/distsim"
 	"astra/internal/gpusim"
@@ -63,8 +64,7 @@ func main() {
 		}
 		if *workers >= 2 {
 			if _, ok := distsim.FabricByName(*fabric); !ok {
-				fmt.Fprintf(os.Stderr, "astra-run: unknown fabric %q (have pcie3, nvlink1)\n", *fabric)
-				os.Exit(1)
+				fail(fmt.Errorf("unknown fabric %q (have pcie3, nvlink1)", *fabric))
 			}
 			fmt.Printf("data-parallel: %d workers over %s, per-device batch %d\n",
 				*workers, *fabric, *batch)
@@ -109,15 +109,14 @@ func runAstra(m *astra.Model, opts astra.Options, batches int, report bool, trac
 	// Telemetry must attach before Explore so the trace and event log
 	// cover every exploration trial.
 	observing := traceOut != "" || eventsOut != "" || metrics
-	var eventsFile *os.File
 	if observing {
 		tel := sess.Instrument()
 		if eventsOut != "" {
-			f, err := os.Create(eventsOut)
+			f, err := atomicfile.Create(eventsOut)
 			if err != nil {
 				fail(err)
 			}
-			eventsFile = f
+			pendingEvents = f
 			tel.SetEventSink(f)
 		}
 	}
@@ -175,19 +174,14 @@ func runAstra(m *astra.Model, opts astra.Options, batches int, report bool, trac
 		fmt.Printf("profile index: %d entries, hit rate %.2f\n", ws.Ix.Len(), ws.Ix.HitRate())
 
 		if traceOut != "" {
-			f, err := os.Create(traceOut)
-			if err != nil {
+			if err := atomicfile.WriteFile(traceOut, tel.Trace.WriteChromeTrace); err != nil {
 				fail(err)
 			}
-			if err := tel.Trace.WriteChromeTrace(f); err != nil {
-				fail(err)
-			}
-			f.Close()
 			fmt.Printf("session trace written to %s (open in ui.perfetto.dev or chrome://tracing)\n", traceOut)
 		}
-		if eventsFile != nil {
+		if pendingEvents != nil {
 			n := tel.Events.Count()
-			if err := eventsFile.Close(); err != nil {
+			if err := pendingEvents.Commit(); err != nil {
 				fail(err)
 			}
 			fmt.Printf("event log written to %s (%d records)\n", eventsOut, n)
@@ -200,19 +194,21 @@ func runAstra(m *astra.Model, opts astra.Options, batches int, report bool, trac
 		}
 	}
 	if timeline != "" {
-		f, err := os.Create(timeline)
-		if err != nil {
+		if err := atomicfile.WriteFile(timeline, ws.Runner.Dev.WriteChromeTrace); err != nil {
 			fail(err)
 		}
-		if err := ws.Runner.Dev.WriteChromeTrace(f); err != nil {
-			fail(err)
-		}
-		f.Close()
 		fmt.Printf("last-batch timeline written to %s (open in chrome://tracing)\n", timeline)
 	}
 }
 
+// pendingEvents is the event log being written; a failed run discards it
+// and leaves any previous log at the path in place.
+var pendingEvents *atomicfile.File
+
 func fail(err error) {
+	if pendingEvents != nil {
+		pendingEvents.Abort()
+	}
 	fmt.Fprintln(os.Stderr, "astra-run:", err)
 	os.Exit(1)
 }

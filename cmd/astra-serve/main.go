@@ -38,6 +38,7 @@ import (
 	"syscall"
 	"time"
 
+	"astra/internal/atomicfile"
 	"astra/internal/serve"
 )
 
@@ -126,16 +127,10 @@ func run(args []string, ctx context.Context, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// saveSnapshot replaces the snapshot at path crash-safely: a failed save
+// leaves the previous snapshot, the fleet's only durable state, intact.
 func saveSnapshot(s *serve.Server, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := s.Fleet().Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return atomicfile.WriteFile(path, s.Fleet().Save)
 }
 
 // runSmoke spins the server on an ephemeral port, drives the standard load

@@ -28,25 +28,16 @@ import (
 	"astra/internal/enumerate"
 	"astra/internal/models"
 	"astra/internal/parallel"
+	"astra/internal/spec"
 	"astra/internal/verify"
+	"astra/internal/wire"
 )
-
-// combo is one cell of the sweep matrix.
-type combo struct {
-	model   string
-	preset  enumerate.Preset
-	workers int
-}
 
 // result is one verified cell, kept in sweep order for deterministic output.
 type result struct {
-	combo
+	spec.Spec
 	report  *verify.Report
 	elapsed time.Duration
-}
-
-var presets = []enumerate.Preset{
-	enumerate.PresetF, enumerate.PresetFK, enumerate.PresetFKS, enumerate.PresetAll,
 }
 
 func main() {
@@ -57,7 +48,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("astra-vet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	model := fs.String("model", "all", "model to verify, or \"all\": "+strings.Join(models.Names(), ", "))
-	preset := fs.String("preset", "all", "preset to verify, or \"all\": Astra_F, Astra_FK, Astra_FKS, Astra_all")
+	preset := fs.String("preset", "all", "preset to verify, or \"all\": "+strings.Join(spec.Presets(), ", "))
 	workers := fs.String("workers", "1,2,4", "comma-separated data-parallel worker counts")
 	batch := fs.Int("batch", 16, "mini-batch size")
 	jobs := fs.Int("j", -1, "combinations verified concurrently; <1 means one per CPU")
@@ -66,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	combos, err := buildMatrix(*model, *preset, *workers)
+	cells, err := buildMatrix(*model, *preset, *workers)
 	if err != nil {
 		fmt.Fprintf(stderr, "astra-vet: %v\n", err)
 		return 2
@@ -75,10 +66,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// The matrix fans out on the order-preserving pool: results land in
 	// sweep order regardless of -j, so the report below is byte-stable
 	// across worker counts (only the elapsed column varies).
-	results := make([]result, len(combos))
-	parallel.ForEach(*jobs, len(combos), func(i int) error {
+	results := make([]result, len(cells))
+	parallel.ForEach(*jobs, len(cells), func(i int) error {
 		start := time.Now()
-		results[i] = result{combo: combos[i], report: vetOne(combos[i], *batch), elapsed: time.Since(start)}
+		results[i] = result{Spec: cells[i], report: vetOne(cells[i], *batch), elapsed: time.Since(start)}
 		return nil
 	})
 
@@ -93,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			failed++
 		}
 		fmt.Fprintf(stdout, "%s %-12s %-10s workers=%d  configs=%-5d findings=%-3d %s\n",
-			status, r.model, r.preset, r.workers, r.report.Configs,
+			status, r.Model, r.Preset, r.Workers, r.report.Configs,
 			len(r.report.Findings), r.elapsed.Round(time.Millisecond))
 		limit := 5
 		if *verbose {
@@ -117,27 +108,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// vetOne enumerates and verifies one matrix cell.
-func vetOne(c combo, batch int) *verify.Report {
-	build, ok := models.Get(c.model)
+// vetOne enumerates and verifies one matrix cell at the given batch.
+func vetOne(c spec.Spec, batch int) *verify.Report {
+	build, ok := models.Get(c.Model)
 	if !ok {
 		r := &verify.Report{}
-		r.Add("vet.model", "", fmt.Sprintf("model %q not registered", c.model))
+		r.Add("vet.model", "", fmt.Sprintf("model %q not registered", c.Model))
 		return r
 	}
-	m := build(models.DefaultConfig(c.model, batch))
-	opts := enumerate.PresetOptions(c.preset)
-	if c.workers >= 2 {
-		opts.CommAdapt = true
-		opts.Workers = c.workers
-	}
-	p := enumerate.Enumerate(m.G, opts)
-	return verify.VerifyPlan(p, verify.Spec{Workers: c.workers})
+	m := build(models.DefaultConfig(c.Model, batch))
+	p := enumerate.Enumerate(m.G, wire.Config(c).Options)
+	return verify.VerifyPlan(p, verify.Spec{Workers: c.Workers})
 }
 
 // buildMatrix expands the flag selections into the sweep, in deterministic
-// model → preset → workers order.
-func buildMatrix(model, preset, workers string) ([]combo, error) {
+// model → preset → workers order. Each cell carries only the coordinates
+// the plan depends on.
+func buildMatrix(model, preset, workers string) ([]spec.Spec, error) {
 	var ms []string
 	if model == "all" {
 		ms = models.Names()
@@ -147,20 +134,12 @@ func buildMatrix(model, preset, workers string) ([]combo, error) {
 		}
 		ms = []string{model}
 	}
-	var ps []enumerate.Preset
-	if preset == "all" {
-		ps = presets
-	} else {
-		found := false
-		for _, p := range presets {
-			if string(p) == preset {
-				ps = []enumerate.Preset{p}
-				found = true
-			}
-		}
-		if !found {
+	ps := spec.Presets()
+	if preset != "all" {
+		if _, ok := spec.LevelOf(preset); !ok {
 			return nil, fmt.Errorf("unknown preset %q", preset)
 		}
+		ps = []string{preset}
 	}
 	var ws []int
 	for _, s := range strings.Split(workers, ",") {
@@ -170,11 +149,11 @@ func buildMatrix(model, preset, workers string) ([]combo, error) {
 		}
 		ws = append(ws, w)
 	}
-	var out []combo
+	var out []spec.Spec
 	for _, m := range ms {
 		for _, p := range ps {
 			for _, w := range ws {
-				out = append(out, combo{model: m, preset: p, workers: w})
+				out = append(out, spec.Spec{Model: m, Preset: p, Workers: w})
 			}
 		}
 	}

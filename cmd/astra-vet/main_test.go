@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"astra/internal/spec"
 )
 
 func TestBuildMatrix(t *testing.T) {
@@ -18,7 +20,7 @@ func TestBuildMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(one) != 1 || one[0].model != "scrnn" || one[0].workers != 2 {
+	if len(one) != 1 || one[0].Model != "scrnn" || one[0].Workers != 2 {
 		t.Fatalf("single cell: got %+v", one)
 	}
 	for _, bad := range [][3]string{
@@ -34,7 +36,7 @@ func TestBuildMatrix(t *testing.T) {
 }
 
 func TestVetOneUnknownModel(t *testing.T) {
-	r := vetOne(combo{model: "nosuch"}, 16)
+	r := vetOne(spec.Spec{Model: "nosuch"}, 16)
 	if r.OK() {
 		t.Fatal("unknown model verified clean")
 	}

@@ -253,7 +253,7 @@ func AnalyzeRun(events []obs.TrialEvent, workers int) (*Run, error) {
 		if ev.Fabric != "" && run.Fabric == "" {
 			run.Fabric = ev.Fabric
 		}
-		if ev.Workers > run.Workers {
+		if ev.Workers >= 2 && ev.Workers > run.Workers {
 			run.Workers = ev.Workers
 		}
 		ba := analyses[i]

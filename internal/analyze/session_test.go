@@ -16,6 +16,7 @@ import (
 	"astra/internal/gpusim"
 	"astra/internal/models"
 	"astra/internal/obs"
+	"astra/internal/spec"
 	"astra/internal/wire"
 )
 
@@ -262,7 +263,7 @@ func TestConvergeReportCarriesPriorCounters(t *testing.T) {
 		// ModeFull with an initially-empty model: the session trains it
 		// online, so later variables are planned from earlier measurements.
 		cfg.Prior = costmodel.NewPlanner(model,
-			costmodel.Meta{Model: "sublstm", Scale: "tiny", Batch: 2, Workers: 1},
+			spec.Spec{Model: "sublstm", Scale: "tiny", Batch: 2, Workers: 1},
 			costmodel.PlannerConfig{Mode: costmodel.ModeFull})
 	})
 	ps := s.Exp.PriorStats()

@@ -5,7 +5,7 @@
 //
 // The model is deliberately not a gradient-boosted anything: it is a
 // hierarchy of bucketed running means over log(µs), keyed by feature tuples
-// extracted from adaptive-variable IDs and session metadata. Three backoff
+// extracted from adaptive-variable IDs and the session spec. Three backoff
 // levels trade specificity for transfer:
 //
 //	L0  model | scale | varID | label | batch-bucket | workers | fabric
@@ -35,53 +35,8 @@ import (
 
 	"astra/internal/obs"
 	"astra/internal/profile"
+	"astra/internal/spec"
 )
-
-// Meta pins the session facts the feature tuples draw on. The zero value is
-// valid (everything lands in catch-all buckets); fill what you know.
-type Meta struct {
-	// Model is the zoo model name, Scale its sizing ("default", "tiny").
-	Model string
-	Scale string
-	// Batch is the per-device mini-batch size.
-	Batch int
-	// Workers is the data-parallel degree, Fabric the interconnect name
-	// (both zero/empty for single-GPU sessions).
-	Workers int
-	Fabric  string
-}
-
-// MetaFromSignature parses a serve job signature
-// ("model=…;scale=…;batch=…;level=…;streams=…;workers=…;fabric=…;") back
-// into the fields the cost model features use. Unknown or malformed fields
-// are left at their zero values — the signature format is stable
-// (serve.Job.Signature), but the model must never fail on a foreign string.
-func MetaFromSignature(sig string) Meta {
-	var m Meta
-	for _, part := range strings.Split(sig, ";") {
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			continue
-		}
-		switch k {
-		case "model":
-			m.Model = v
-		case "scale":
-			m.Scale = v
-		case "batch":
-			if n, err := strconv.Atoi(v); err == nil && n > 0 {
-				m.Batch = n
-			}
-		case "workers":
-			if n, err := strconv.Atoi(v); err == nil && n > 0 {
-				m.Workers = n
-			}
-		case "fabric":
-			m.Fabric = v
-		}
-	}
-	return m
-}
 
 // varClass buckets an adaptive-variable ID into the enumerator's variable
 // families — the coarsest feature the L2 backoff level keys on. The strings
@@ -170,25 +125,25 @@ func hashKeyString(k string) uint64 {
 const Levels = 3
 
 //astra:hotpath
-func hashL0(meta Meta, varID, label string) uint64 {
+func hashL0(sp spec.Spec, varID, label string) uint64 {
 	h := hashString(fnvOffset64, "0")
-	h = hashString(h, meta.Model)
-	h = hashString(h, meta.Scale)
+	h = hashString(h, sp.Model)
+	h = hashString(h, sp.Scale)
 	h = hashString(h, varID)
 	h = hashString(h, label)
-	h = hashUint(h, batchBucket(meta.Batch))
-	h = hashUint(h, meta.Workers)
-	return hashString(h, meta.Fabric)
+	h = hashUint(h, batchBucket(sp.Batch))
+	h = hashUint(h, sp.Workers)
+	return hashString(h, sp.Fabric)
 }
 
 //astra:hotpath
-func hashL1(meta Meta, varID, label string) uint64 {
+func hashL1(sp spec.Spec, varID, label string) uint64 {
 	h := hashString(fnvOffset64, "1")
-	h = hashString(h, meta.Model)
+	h = hashString(h, sp.Model)
 	h = hashString(h, varID)
 	h = hashString(h, label)
-	h = hashUint(h, meta.Workers)
-	return hashString(h, meta.Fabric)
+	h = hashUint(h, sp.Workers)
+	return hashString(h, sp.Fabric)
 }
 
 //astra:hotpath
@@ -201,14 +156,14 @@ func hashL2(varID, label string) uint64 {
 // Readable-key builders — the slow-path twins of the hash functions, used
 // once per new bucket and for snapshots. keyL*(…) must serialize exactly
 // the byte sequence hashL*(…) hashes; TestKeyHashConsistency pins that.
-func keyL0(meta Meta, varID, label string) string {
-	return "0|" + meta.Model + "|" + meta.Scale + "|" + varID + "|" + label + "|" +
-		strconv.Itoa(batchBucket(meta.Batch)) + "|" + strconv.Itoa(max0(meta.Workers)) + "|" + meta.Fabric + "|"
+func keyL0(sp spec.Spec, varID, label string) string {
+	return "0|" + sp.Model + "|" + sp.Scale + "|" + varID + "|" + label + "|" +
+		strconv.Itoa(batchBucket(sp.Batch)) + "|" + strconv.Itoa(max0(sp.Workers)) + "|" + sp.Fabric + "|"
 }
 
-func keyL1(meta Meta, varID, label string) string {
-	return "1|" + meta.Model + "|" + varID + "|" + label + "|" +
-		strconv.Itoa(max0(meta.Workers)) + "|" + meta.Fabric + "|"
+func keyL1(sp spec.Spec, varID, label string) string {
+	return "1|" + sp.Model + "|" + varID + "|" + label + "|" +
+		strconv.Itoa(max0(sp.Workers)) + "|" + sp.Fabric + "|"
 }
 
 func keyL2(varID, label string) string {
@@ -294,14 +249,14 @@ func (m *Model) observeBucket(h uint64, mkKey func() string, x float64) {
 
 // Observe folds one measurement into every feature level. Non-positive and
 // non-finite values are ignored — log space is the model's native scale.
-func (m *Model) Observe(meta Meta, varID, label string, us float64) {
+func (m *Model) Observe(sp spec.Spec, varID, label string, us float64) {
 	if !(us > 0) || math.IsInf(us, 1) {
 		return
 	}
 	x := math.Log(us)
 	m.mu.Lock()
-	m.observeBucket(hashL0(meta, varID, label), func() string { return keyL0(meta, varID, label) }, x)
-	m.observeBucket(hashL1(meta, varID, label), func() string { return keyL1(meta, varID, label) }, x)
+	m.observeBucket(hashL0(sp, varID, label), func() string { return keyL0(sp, varID, label) }, x)
+	m.observeBucket(hashL1(sp, varID, label), func() string { return keyL1(sp, varID, label) }, x)
 	m.observeBucket(hashL2(varID, label), func() string { return keyL2(varID, label) }, x)
 	m.updates++
 	nb := len(m.buckets)
@@ -322,31 +277,31 @@ func (m *Model) Observe(meta Meta, varID, label string, us float64) {
 // learns context-free label effects, which is what lets knowledge transfer
 // across prefix digests, fork branches and job namespaces. Returns the
 // number of observations folded in.
-func (m *Model) TrainIndex(ix *profile.Index, meta Meta) int {
+func (m *Model) TrainIndex(ix *profile.Index, sp spec.Spec) int {
 	n := 0
 	for _, e := range ix.Entries() {
 		_, varID, label := e.Key.Parts()
 		if varID == "" || label == "" {
 			continue
 		}
-		m.Observe(meta, varID, label, e.Stats.Mean)
+		m.Observe(sp, varID, label, e.Stats.Mean)
 		n++
 	}
 	return n
 }
 
-// Predict returns the predicted log(µs) for (varID, label) under meta, the
+// Predict returns the predicted log(µs) for (varID, label) under sp, the
 // backoff level that answered (0 most specific), and whether any level had
 // data. The hot path: zero allocations, read lock only.
 //
 //astra:hotpath
-func (m *Model) Predict(meta Meta, varID, label string) (logUs float64, level int, ok bool) {
+func (m *Model) Predict(sp spec.Spec, varID, label string) (logUs float64, level int, ok bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if b := m.buckets[hashL0(meta, varID, label)]; b != nil {
+	if b := m.buckets[hashL0(sp, varID, label)]; b != nil {
 		return b.mean, 0, true
 	}
-	if b := m.buckets[hashL1(meta, varID, label)]; b != nil {
+	if b := m.buckets[hashL1(sp, varID, label)]; b != nil {
 		return b.mean, 1, true
 	}
 	if b := m.buckets[hashL2(varID, label)]; b != nil {

@@ -9,16 +9,17 @@ import (
 	"astra/internal/adapt"
 	"astra/internal/obs"
 	"astra/internal/profile"
+	"astra/internal/spec"
 )
 
-var testMeta = Meta{Model: "scrnn", Scale: "default", Batch: 16, Workers: 4, Fabric: "pcie3"}
+var testMeta = spec.Spec{Model: "scrnn", Scale: "default", Batch: 16, Workers: 4, Fabric: "pcie3"}
 
 // TestKeyHashConsistency pins the core invariant of the zero-alloc hot
 // path: the incremental FNV hash of a feature tuple equals the plain FNV
 // hash of its readable key string. Snapshots depend on it — Load rebuilds
 // the hash table from readable keys alone.
 func TestKeyHashConsistency(t *testing.T) {
-	metas := []Meta{
+	metas := []spec.Spec{
 		{},
 		testMeta,
 		{Model: "sublstm", Scale: "tiny", Batch: 1, Workers: 1, Fabric: "nvlink1"},
@@ -75,25 +76,10 @@ func TestBatchBucket(t *testing.T) {
 		}
 	}
 	// Batches in the same power-of-two bucket share an L0 key.
-	a := Meta{Model: "m", Batch: 9}
-	b := Meta{Model: "m", Batch: 15}
+	a := spec.Spec{Model: "m", Batch: 9}
+	b := spec.Spec{Model: "m", Batch: 15}
 	if keyL0(a, "v", "l") != keyL0(b, "v", "l") {
 		t.Errorf("batches 9 and 15 should share an L0 bucket")
-	}
-}
-
-func TestMetaFromSignature(t *testing.T) {
-	sig := "model=scrnn;scale=default;batch=16;level=FK;streams=4;workers=4;fabric=pcie3;"
-	got := MetaFromSignature(sig)
-	if got != testMeta {
-		t.Errorf("MetaFromSignature = %+v, want %+v", got, testMeta)
-	}
-	// Hostile strings never panic and leave zero values.
-	for _, s := range []string{"", ";;;", "batch=-4;workers=zz", "model"} {
-		m := MetaFromSignature(s)
-		if m.Batch != 0 || m.Workers != 0 {
-			t.Errorf("MetaFromSignature(%q) = %+v, want zero numerics", s, m)
-		}
 	}
 }
 
@@ -115,7 +101,7 @@ func TestObservePredictBackoff(t *testing.T) {
 	if _, lvl, ok := m.Predict(bigBatch, "g0.chunk", "2"); !ok || lvl != 1 {
 		t.Fatalf("neighbour-shape predict level = %d (ok=%v), want 1", lvl, ok)
 	}
-	newModel := Meta{Model: "fresh", Batch: 8}
+	newModel := spec.Spec{Model: "fresh", Batch: 8}
 	if _, lvl, ok := m.Predict(newModel, "g9.chunk", "2"); !ok || lvl != 2 {
 		t.Fatalf("new-model predict level = %d (ok=%v), want 2", lvl, ok)
 	}
@@ -199,7 +185,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	m := NewModel()
 	m.Observe(testMeta, "g0.chunk", "2", 100)
 	m.Observe(testMeta, "g0.chunk", "8", 300)
-	m.Observe(Meta{Model: "sublstm", Batch: 8}, "lstm0.lib", "fused", 900)
+	m.Observe(spec.Spec{Model: "sublstm", Batch: 8}, "lstm0.lib", "fused", 900)
 
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
@@ -216,13 +202,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			loaded.Len(), m.Len(), loaded.Updates(), m.Updates())
 	}
 	for _, q := range []struct {
-		meta       Meta
+		meta       spec.Spec
 		varID, lbl string
 	}{
 		{testMeta, "g0.chunk", "2"},
 		{testMeta, "g0.chunk", "8"},
-		{Meta{Model: "sublstm", Batch: 8}, "lstm0.lib", "fused"},
-		{Meta{Model: "other"}, "x.chunk", "2"}, // L2 backoff
+		{spec.Spec{Model: "sublstm", Batch: 8}, "lstm0.lib", "fused"},
+		{spec.Spec{Model: "other"}, "x.chunk", "2"}, // L2 backoff
 	} {
 		p0, l0, ok0 := m.Predict(q.meta, q.varID, q.lbl)
 		p1, l1, ok1 := loaded.Predict(q.meta, q.varID, q.lbl)
@@ -390,8 +376,8 @@ func TestPlannerUnknownAndL2Behaviour(t *testing.T) {
 		t.Fatalf("empty model produced a plan")
 	}
 	// Only-L2 knowledge ranks but never prunes (MaxLevel default 1).
-	m.Observe(Meta{Model: "donor"}, "x9.chunk", "1", 900)
-	m.Observe(Meta{Model: "donor"}, "x9.chunk", "2", 100)
+	m.Observe(spec.Spec{Model: "donor"}, "x9.chunk", "1", 900)
+	m.Observe(spec.Spec{Model: "donor"}, "x9.chunk", "2", 100)
 	plan := p.Plan("", "g0.chunk", []string{"1", "2"})
 	if len(plan.Order) != 2 || plan.Order[0] != 1 {
 		t.Fatalf("L2 rank order = %v, want [1 0]", plan.Order)
@@ -458,7 +444,7 @@ func TestPlannerAccessors(t *testing.T) {
 	if p.Model() != m {
 		t.Fatal("Model() did not return the bound model")
 	}
-	if p.Meta() != testMeta {
-		t.Fatalf("Meta() = %+v, want %+v", p.Meta(), testMeta)
+	if p.Spec() != testMeta {
+		t.Fatalf("Spec() = %+v, want %+v", p.Spec(), testMeta)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"io"
 	"sync"
 	"testing"
+
+	"astra/internal/spec"
 )
 
 // FuzzModelLoad mirrors profile.FuzzIndexLoad for the cost-model snapshot
@@ -91,7 +93,7 @@ func TestConcurrentTrainPredictLoad(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
 			m.Predict(testMeta, "g0.chunk", "2")
-			m.Predict(Meta{Model: "other"}, "x.chunk", "4")
+			m.Predict(spec.Spec{Model: "other"}, "x.chunk", "4")
 			m.Len()
 		}
 	}()

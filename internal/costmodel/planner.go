@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"astra/internal/adapt"
+	"astra/internal/spec"
 )
 
 // Mode selects how much of the model's advice a Planner applies.
@@ -86,33 +87,33 @@ func (c PlannerConfig) maxLevel() int {
 
 // Planner adapts a Model to the adapt.Prior interface for one session: it
 // answers the explorer's plan queries from the model's predictions under
-// the session's Meta, and routes the explorer's measurements back into the
+// the session's spec, and routes the explorer's measurements back into the
 // model. Planners are cheap; models are the shared state (one per tenant in
 // the serve layer, one per harness cell). Plan is a pure function of the
 // model state, so sessions stay deterministic.
 type Planner struct {
 	model *Model
-	meta  Meta
+	spec  spec.Spec
 	cfg   PlannerConfig
 }
 
-// NewPlanner binds a model to one session's metadata and mode.
-func NewPlanner(model *Model, meta Meta, cfg PlannerConfig) *Planner {
-	return &Planner{model: model, meta: meta, cfg: cfg}
+// NewPlanner binds a model to one session's spec and mode.
+func NewPlanner(model *Model, sp spec.Spec, cfg PlannerConfig) *Planner {
+	return &Planner{model: model, spec: sp, cfg: cfg}
 }
 
 // Model returns the underlying shared model.
 func (p *Planner) Model() *Model { return p.model }
 
-// Meta returns the session metadata the planner predicts under.
-func (p *Planner) Meta() Meta { return p.meta }
+// Spec returns the session spec the planner predicts under.
+func (p *Planner) Spec() spec.Spec { return p.spec }
 
 // Observe implements adapt.Prior: the explorer's recorded measurements
 // train the model incrementally, whatever the mode — so a cold session is
 // automatically the next session's teacher, and post-drift re-measurements
 // refresh the prior while re-exploration is still running.
 func (p *Planner) Observe(ctx, varID, label string, us float64) {
-	p.model.Observe(p.meta, varID, label, us)
+	p.model.Observe(p.spec, varID, label, us)
 }
 
 // Invalidate implements adapt.Prior: a drift thaw decays the model's
@@ -137,7 +138,7 @@ func (p *Planner) Plan(ctx, varID string, labels []string) adapt.PriorPlan {
 	cands := make([]cand, len(labels))
 	known := 0
 	for i, l := range labels {
-		pred, level, ok := p.model.Predict(p.meta, varID, l)
+		pred, level, ok := p.model.Predict(p.spec, varID, l)
 		cands[i] = cand{idx: i, pred: pred, level: level, ok: ok}
 		if ok {
 			known++

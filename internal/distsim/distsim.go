@@ -27,52 +27,21 @@ import (
 	"astra/internal/enumerate"
 	"astra/internal/gpusim"
 	"astra/internal/models"
+	"astra/internal/spec"
 	"astra/internal/wire"
 )
 
-// Interconnect models the gradient-exchange fabric.
-type Interconnect struct {
-	Name string
-	// BytesPerUs is the per-link bandwidth (both directions combined).
-	BytesPerUs float64
-	// LatencyUs is the per-hop latency of one ring step.
-	LatencyUs float64
-}
+// Interconnect models the gradient-exchange fabric. The built-in table
+// lives in internal/spec, beside the Spec that names fabrics; a Cluster may
+// also run over a custom one.
+type Interconnect = spec.Interconnect
 
-// PCIe returns a PCIe-3.0-x16 peer-to-peer fabric (the paper-era default
-// for multi-GPU boxes without NVLink).
-func PCIe() Interconnect { return Interconnect{Name: "pcie3", BytesPerUs: 11000, LatencyUs: 8} }
-
-// NVLink returns a first-generation NVLink fabric.
-func NVLink() Interconnect { return Interconnect{Name: "nvlink1", BytesPerUs: 38000, LatencyUs: 3} }
-
-// Fabrics returns the built-in interconnects, the sweep set of the
-// multi-GPU experiments.
-func Fabrics() []Interconnect { return []Interconnect{PCIe(), NVLink()} }
-
-// FabricByName resolves an interconnect by its Name field.
-func FabricByName(name string) (Interconnect, bool) {
-	for _, ic := range Fabrics() {
-		if ic.Name == name {
-			return ic, true
-		}
-	}
-	return Interconnect{}, false
-}
-
-// RingAllReduceUs returns the time to all-reduce `bytes` of gradients over
-// n workers with the classic two-phase ring: 2·(n−1) steps, each moving
-// bytes/n per link. This is the analytic cross-check baseline: the
-// event-level simulation of a single bucket serialized on the main stream
-// must converge to it (modulo per-kernel setup cost).
-func (ic Interconnect) RingAllReduceUs(bytes int64, n int) float64 {
-	if n <= 1 {
-		return 0
-	}
-	steps := 2 * (n - 1)
-	perStep := float64(bytes) / float64(n) / ic.BytesPerUs
-	return float64(steps) * (perStep + ic.LatencyUs)
-}
+// PCIe, NVLink, Fabrics and FabricByName expose the built-in fabrics, the
+// sweep set of the multi-GPU experiments.
+func PCIe() Interconnect                            { return spec.PCIe() }
+func NVLink() Interconnect                          { return spec.NVLink() }
+func Fabrics() []Interconnect                       { return spec.Fabrics() }
+func FabricByName(name string) (Interconnect, bool) { return spec.FabricByName(name) }
 
 // Schedule is one fixed communication schedule: a bucket-cap label from
 // enumerate.CommBucketLabels ("256", "1024", ..., "all") and a placement
@@ -152,30 +121,13 @@ type Result struct {
 // counts.
 type Cluster struct {
 	Interconnect Interconnect
-	// Preset is the Astra adaptation level each worker wires with.
+	// Preset is the Astra adaptation level each worker wires with
+	// (default FK); every worker runs the stock simulated P100.
 	Preset enumerate.Preset
-	// PerOpCPUUs matches the single-GPU sessions.
-	PerOpCPUUs float64
-	// Seed offsets the simulated devices' RNG (worker ranks derive from it).
-	Seed uint64
 	// Prior optionally attaches a cost-model prior (internal/costmodel) to
 	// every session the cluster runs: exploration is re-ranked and pruned
 	// by predicted cost, and measurements train the model in return.
 	Prior adapt.Prior
-}
-
-func (c *Cluster) preset() enumerate.Preset {
-	if c.Preset == "" {
-		return enumerate.PresetFK
-	}
-	return c.Preset
-}
-
-func (c *Cluster) perOp() float64 {
-	if c.PerOpCPUUs == 0 {
-		return 2
-	}
-	return c.PerOpCPUUs
 }
 
 // build compiles the per-device replica for one worker count.
@@ -193,36 +145,36 @@ func (c *Cluster) build(name string, globalBatch, n int) (*models.Model, error) 
 	return build(models.DefaultConfig(name, globalBatch/n)), nil
 }
 
+// spec names the per-device run of one worker count: the replica at
+// evaluation scale under the cluster's preset.
+func (c *Cluster) spec(m *models.Model, n int) spec.Spec {
+	sp := spec.New(m.Name, spec.ScaleDefault, m.Cfg.Batch, string(c.Preset))
+	if c.Preset == "" {
+		sp.Preset = spec.PresetFK
+	}
+	if n >= 2 {
+		sp.Workers, sp.Fabric = n, c.Interconnect.Name
+	}
+	return sp
+}
+
 // session assembles a multi-worker wired session. adaptComm turns the
 // bucket/placement choices into explored variables; otherwise sched fixes
 // them.
 func (c *Cluster) session(m *models.Model, n int, adaptComm bool, sched Schedule) (*wire.Session, error) {
-	opts := enumerate.PresetOptions(c.preset())
-	opts.CommAdapt = adaptComm
-	opts.Workers = n
-	comm := wire.CommConfig{
-		Workers:    n,
-		BytesPerUs: c.Interconnect.BytesPerUs,
-		LatencyUs:  c.Interconnect.LatencyUs,
-		Fabric:     c.Interconnect.Name,
-	}
+	cfg := wire.Config(c.spec(m, n))
+	cfg.Comm.BytesPerUs, cfg.Comm.LatencyUs = c.Interconnect.BytesPerUs, c.Interconnect.LatencyUs // custom fabrics too
+	cfg.Prior = c.Prior
 	if !adaptComm {
 		kb, err := bucketKB(sched.Bucket)
 		if err != nil {
 			return nil, err
 		}
-		comm.DefaultBucketKB = kb
-		comm.DefaultPlacement = sched.Placement
+		cfg.Options.CommAdapt = false
+		cfg.Comm.DefaultBucketKB = kb
+		cfg.Comm.DefaultPlacement = sched.Placement
 	}
-	dev := gpusim.P100()
-	dev.Seed += c.Seed
-	return wire.NewSession(m, wire.SessionConfig{
-		Device:  dev,
-		Options: opts,
-		Runner:  wire.RunnerConfig{PerOpCPUUs: c.perOp()},
-		Comm:    comm,
-		Prior:   c.Prior,
-	}), nil
+	return wire.NewSession(m, cfg), nil
 }
 
 // run explores (when the plan has adaptive variables), times one wired
@@ -270,12 +222,9 @@ func (c *Cluster) run(m *models.Model, globalBatch, n int, adaptComm bool, sched
 	}
 	// Compute-only reference: same plan, same frozen bindings, comm off.
 	// One wired batch on a fresh device — no re-exploration needed.
-	dev := gpusim.P100()
-	dev.Seed += c.Seed
-	solo := wire.NewRunner(s.Plan, gpusim.NewDevice(dev), wire.RunnerConfig{
-		PerOpCPUUs: c.perOp(),
-		Profile:    true,
-	})
+	cfg := wire.Config(c.spec(m, 1))
+	cfg.Runner.Profile = true
+	solo := wire.NewRunner(s.Plan, gpusim.NewDevice(cfg.Device), cfg.Runner)
 	res.PerDeviceUs = solo.RunBatch(nil, nil).TotalUs
 	return res, nil
 }
@@ -318,7 +267,7 @@ func (c *Cluster) Exhaustive(name string, globalBatch, n int) ([]Result, int, er
 	if err != nil {
 		return nil, -1, err
 	}
-	plan := enumerate.Enumerate(m.G, enumerate.PresetOptions(c.preset()))
+	plan := enumerate.Enumerate(m.G, wire.Config(c.spec(m, 1)).Options)
 	var out []Result
 	best := -1
 	for _, sched := range Schedules(plan.GradBytes()) {

@@ -15,6 +15,7 @@ import (
 	"astra/internal/adapt"
 	"astra/internal/graph"
 	"astra/internal/memory"
+	"astra/internal/spec"
 )
 
 // Options selects the adaptation dimensions, mirroring the ablation columns
@@ -66,10 +67,10 @@ type Preset string
 
 // Presets as reported in the paper's tables.
 const (
-	PresetF   Preset = "Astra_F"
-	PresetFK  Preset = "Astra_FK"
-	PresetFKS Preset = "Astra_FKS"
-	PresetAll Preset = "Astra_all"
+	PresetF   Preset = spec.PresetF
+	PresetFK  Preset = spec.PresetFK
+	PresetFKS Preset = spec.PresetFKS
+	PresetAll Preset = spec.PresetAll
 )
 
 // PresetOptions returns the options for a named preset.

@@ -78,15 +78,26 @@ func parseShape(s string) (tensor.Shape, error) {
 	}
 	parts := strings.Split(s, "x")
 	out := make(tensor.Shape, len(parts))
+	elems := 1
 	for i, p := range parts {
 		d, err := strconv.Atoi(p)
-		if err != nil {
+		if err != nil || d < 0 {
 			return nil, fmt.Errorf("graph: bad shape dim %q", p)
 		}
+		if d > 0 && elems > maxTraceElems/d {
+			return nil, fmt.Errorf("graph: shape [%s] exceeds %d elements", s, maxTraceElems)
+		}
+		elems *= d
 		out[i] = d
 	}
 	return out, nil
 }
+
+// maxTraceElems bounds one traced tensor (512 MiB of float64; the zoo's
+// largest at batch 64 has 22M elements): parameters and constants are
+// re-created zero-filled on parse, so a shape must not demand unbounded
+// memory.
+const maxTraceElems = 1 << 26
 
 func attrString(n *Node) string {
 	switch n.Op {

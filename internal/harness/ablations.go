@@ -27,11 +27,7 @@ func AblationProfiling(o Options) (*Table, error) {
 	m := buildModel(model, batch)
 
 	// Astra: parallel exploration with fine-grained profiling.
-	s := wire.NewSession(m, wire.SessionConfig{
-		Device:  gpusim.P100(),
-		Options: enumerate.PresetOptions(enumerate.PresetFK),
-		Runner:  wire.RunnerConfig{PerOpCPUUs: 2},
-	})
+	s := wire.NewSession(m, stockConfig(enumerate.PresetFK))
 	s.Explore()
 	astraWired := s.WiredTimeUs()
 	astraTrials := s.Trials
@@ -118,18 +114,13 @@ func AblationAutoboost(o Options) (*Table, error) {
 	outs, err := parallel.Map(o.workers(), len(variants), func(i int) (outcome, error) {
 		v := variants[i]
 		m := buildModel(model, batch)
-		dev := gpusim.P100()
-		dev.Autoboost = v.boost
-		ix := profile.NewIndex()
+		cfg := stockConfig(enumerate.PresetFKS)
+		cfg.Device.Autoboost = v.boost
+		cfg.Index = profile.NewIndex()
 		if v.samples > 1 {
-			ix.SetPolicy(profile.FixedSamples(v.samples))
+			cfg.Index.SetPolicy(profile.FixedSamples(v.samples))
 		}
-		s := wire.NewSession(m, wire.SessionConfig{
-			Device:  dev,
-			Options: enumerate.PresetOptions(enumerate.PresetFKS),
-			Runner:  wire.RunnerConfig{PerOpCPUUs: 2},
-			Index:   ix,
-		})
+		s := wire.NewSession(m, cfg)
 		s.Explore()
 		// Re-measure the chosen configuration with the clock pinned, so
 		// the comparison isolates decision quality from clock luck.
@@ -179,13 +170,9 @@ func AblationBarrier(o Options) (*Table, error) {
 	rows, err := parallel.Map(o.workers(), len(budgets), func(i int) ([]string, error) {
 		budget := budgets[i]
 		m := buildModel(model, batch)
-		opts := enumerate.PresetOptions(enumerate.PresetFKS)
-		opts.SuperEpochUs = budget
-		s := wire.NewSession(m, wire.SessionConfig{
-			Device:  gpusim.P100(),
-			Options: opts,
-			Runner:  wire.RunnerConfig{PerOpCPUUs: 2},
-		})
+		cfg := stockConfig(enumerate.PresetFKS)
+		cfg.Options.SuperEpochUs = budget
+		s := wire.NewSession(m, cfg)
 		s.Explore()
 		label := fmt.Sprintf("%.0f", budget)
 		if budget >= 1e12 {

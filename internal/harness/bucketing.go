@@ -61,11 +61,7 @@ func Table8(o Options) (*Table, error) {
 		cfg := models.DefaultConfig(c.model, c.batch)
 		cfg.SeqLen = bLen
 		m := build(cfg)
-		s := wire.NewSession(m, wire.SessionConfig{
-			Device:  gpusim.P100(),
-			Options: enumerate.PresetOptions(preset),
-			Runner:  wire.RunnerConfig{PerOpCPUUs: 2},
-		})
+		s := wire.NewSession(m, stockConfig(preset))
 		s.Explore()
 		o.progress("table8 %s-%d bucket %d done", c.model, c.batch, bLen)
 		return s.WiredTimeUs(), nil

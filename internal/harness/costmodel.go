@@ -7,6 +7,7 @@ import (
 	"astra/internal/distsim"
 	"astra/internal/enumerate"
 	"astra/internal/parallel"
+	"astra/internal/spec"
 )
 
 func init() {
@@ -71,11 +72,10 @@ func (c CostModelComparison) GapPct() float64 {
 func CompareCostModel(model string, fabric distsim.Interconnect, globalBatch, donorBatch, workers int) (CostModelComparison, error) {
 	out := CostModelComparison{Model: model, Fabric: fabric.Name, Workers: workers}
 	shared := costmodel.NewModel()
-	meta := func(batch int) costmodel.Meta {
-		return costmodel.Meta{
-			Model: model, Scale: "default", Batch: batch / workers,
-			Workers: workers, Fabric: fabric.Name,
-		}
+	specAt := func(batch int) spec.Spec {
+		sp := spec.New(model, spec.ScaleDefault, batch/workers, spec.PresetFK)
+		sp.Workers, sp.Fabric = workers, fabric.Name
+		return sp
 	}
 
 	// Donor: a neighbour-shape session teaches the model. ModeTrain plans
@@ -83,7 +83,7 @@ func CompareCostModel(model string, fabric distsim.Interconnect, globalBatch, do
 	// observed.
 	donor := &distsim.Cluster{
 		Interconnect: fabric, Preset: enumerate.PresetFK,
-		Prior: costmodel.NewPlanner(shared, meta(donorBatch), costmodel.PlannerConfig{Mode: costmodel.ModeTrain}),
+		Prior: costmodel.NewPlanner(shared, specAt(donorBatch), costmodel.PlannerConfig{Mode: costmodel.ModeTrain}),
 	}
 	dres, err := donor.Step(model, donorBatch, workers)
 	if err != nil {
@@ -104,7 +104,7 @@ func CompareCostModel(model string, fabric distsim.Interconnect, globalBatch, do
 	// L1 neighbour-shape backoff.
 	seeded := &distsim.Cluster{
 		Interconnect: fabric, Preset: enumerate.PresetFK,
-		Prior: costmodel.NewPlanner(shared, meta(globalBatch), costmodel.PlannerConfig{Mode: costmodel.ModeFull}),
+		Prior: costmodel.NewPlanner(shared, specAt(globalBatch), costmodel.PlannerConfig{Mode: costmodel.ModeFull}),
 	}
 	pres, err := seeded.Step(model, globalBatch, workers)
 	if err != nil {

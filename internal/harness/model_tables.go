@@ -8,19 +8,22 @@ import (
 	"astra/internal/gpusim"
 	"astra/internal/models"
 	"astra/internal/parallel"
+	"astra/internal/spec"
 	"astra/internal/wire"
 )
 
 // exploreWired compiles the model at the preset, explores to convergence
 // and returns (wired batch time, exploration trials, alloc strategies).
 func exploreWired(m *models.Model, preset enumerate.Preset) (float64, int, int) {
-	s := wire.NewSession(m, wire.SessionConfig{
-		Device:  gpusim.P100(),
-		Options: enumerate.PresetOptions(preset),
-		Runner:  wire.RunnerConfig{PerOpCPUUs: 2},
-	})
+	s := wire.NewSession(m, stockConfig(preset))
 	s.Explore()
 	return s.WiredTimeUs(), s.Trials, len(s.Plan.Allocs)
+}
+
+// stockConfig is the single-GPU session configuration of the stock spec
+// at preset: the simulated P100 and 2 µs of CPU dispatch per op.
+func stockConfig(preset enumerate.Preset) wire.SessionConfig {
+	return wire.Config(spec.New("", "", 0, string(preset)))
 }
 
 func buildModel(name string, batch int) *models.Model {

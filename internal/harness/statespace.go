@@ -35,11 +35,7 @@ func Table7(o Options) (*Table, error) {
 		m := buildModel(name, batch)
 		_, fks, _ := exploreWired(m, enumerate.PresetFKS)
 		o.progress("table7 %s FKS done", name)
-		s := wire.NewSession(m, wire.SessionConfig{
-			Device:  gpusim.P100(),
-			Options: enumerate.PresetOptions(enumerate.PresetAll),
-			Runner:  wire.RunnerConfig{PerOpCPUUs: 2},
-		})
+		s := wire.NewSession(m, stockConfig(enumerate.PresetAll))
 		s.Explore()
 		res := s.Step()
 		frac := res.ProfilingOverheadUs() / res.TotalUs
@@ -62,11 +58,7 @@ func Table7(o Options) (*Table, error) {
 // strategy whose validated end-to-end time wins.
 func Figure1(o Options) (*Table, error) {
 	m := buildModel("scrnn", 16)
-	s := wire.NewSession(m, wire.SessionConfig{
-		Device:  gpusim.P100(),
-		Options: enumerate.PresetOptions(enumerate.PresetAll),
-		Runner:  wire.RunnerConfig{PerOpCPUUs: 2},
-	})
+	s := wire.NewSession(m, stockConfig(enumerate.PresetAll))
 	p := s.Plan
 	t := &Table{
 		ID:     "fig1",

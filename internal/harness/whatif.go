@@ -3,9 +3,9 @@ package harness
 import (
 	"fmt"
 
-	"astra/internal/enumerate"
 	"astra/internal/obs"
 	"astra/internal/parallel"
+	"astra/internal/spec"
 	"astra/internal/whatif"
 )
 
@@ -47,7 +47,9 @@ func ExtWhatIf(o Options) (*Table, error) {
 		models = append(models, "milstm", "stackedlstm", "gnmt")
 	}
 	reports, err := parallel.Map(o.workers(), len(models), func(i int) (*whatif.CheckReport, error) {
-		rep, err := whatif.SelfCheck(models[i], 4, 2, "pcie3", enumerate.PresetFK, true, 2, scenarios, tolerancePct)
+		sp := spec.New(models[i], spec.ScaleTiny, 4, spec.PresetFK)
+		sp.Workers, sp.Fabric = 2, "pcie3"
+		rep, err := whatif.SelfCheck(sp, 2, scenarios, tolerancePct)
 		if err != nil {
 			return nil, fmt.Errorf("ext-whatif %s: %w", models[i], err)
 		}

@@ -51,13 +51,11 @@ func Table9(o Options) (*Table, error) {
 		nat := baselines.RunNative(m.G, gpusim.NewDevice(gpusim.P100()), tf, nil, nil)
 		xla := baselines.RunXLA(m.G, gpusim.NewDevice(gpusim.P100()), nil, nil)
 
-		s := wire.NewSession(m, wire.SessionConfig{
-			Device:  gpusim.P100(),
-			Options: enumerate.PresetOptions(enumerate.PresetFK),
-			// The TF build interposes at the graph executor: same per-op
-			// cost as the XLA executor.
-			Runner: wire.RunnerConfig{PerOpCPUUs: 3},
-		})
+		sc := stockConfig(enumerate.PresetFK)
+		// The TF build interposes at the graph executor: same per-op cost
+		// as the XLA executor.
+		sc.Runner.PerOpCPUUs = 3
+		s := wire.NewSession(m, sc)
 		s.Explore()
 		astra := s.WiredTimeUs()
 

@@ -1,12 +1,26 @@
 package models
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
 	"astra/internal/graph"
+	"astra/internal/spec"
 	"astra/internal/tensor"
 )
+
+// TestZooMatchesSpec: spec.Validate accepts exactly the registered models.
+func TestZooMatchesSpec(t *testing.T) {
+	var registered []string
+	for name := range registry {
+		registered = append(registered, name)
+	}
+	sort.Strings(registered)
+	if got, want := strings.Join(registered, ","), strings.Join(spec.Models(), ","); got != want {
+		t.Fatalf("registered models %s, spec zoo %s", got, want)
+	}
+}
 
 func TestAllModelsBuildAndValidateTiny(t *testing.T) {
 	for _, name := range Names() {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"astra/internal/spec"
 )
 
 // TrialEvent is one structured record of the session event log: exactly one
@@ -42,20 +44,15 @@ type TrialEvent struct {
 	// Drift marks the wired batch on which the drift watchdog fired and
 	// thawed the explorer back into exploration.
 	Drift bool `json:"drift,omitempty"`
-	// Workers is the data-parallel worker count of a multi-GPU session
-	// (omitted for single-GPU sessions), CommUs the link-busy time of the
-	// batch's gradient exchange, and WorkerUs the per-worker batch times
-	// whose max is BatchUs.
-	Workers  int       `json:"workers,omitempty"`
+	// CommUs is the link-busy time of a multi-GPU batch's gradient
+	// exchange, and WorkerUs the per-worker batch times whose max is
+	// BatchUs.
 	CommUs   float64   `json:"comm_us,omitempty"`
 	WorkerUs []float64 `json:"worker_us,omitempty"`
 	// VerifyFindings lists plan-verifier findings first surfaced by this
 	// batch's configuration (rendered one per line); empty when the
 	// binding verified clean or was already checked.
 	VerifyFindings []string `json:"verify_findings,omitempty"`
-	// Fabric names the interconnect of a multi-GPU session ("pcie3",
-	// "nvlink1"); empty for single-GPU sessions.
-	Fabric string `json:"fabric,omitempty"`
 	// Froze lists the adaptive-variable IDs the explorer froze during this
 	// batch, sorted; Reexplorations counts watchdog-triggered re-explore
 	// rounds completed so far. Together with FrozenVars/TotalVars these
@@ -79,30 +76,11 @@ type TrialEvent struct {
 	// "where did this batch's time go".
 	Profiles []BatchProfile `json:"profiles,omitempty"`
 
-	// Session-construction metadata, stamped on every record by the wire
-	// session: enough for a what-if scenario checker (astra-whatif -check)
-	// to rebuild an equivalent session from the event log alone and
-	// re-simulate perturbed configurations for ground truth. Model names
-	// the zoo model, ModelScale how it was sized ("default", "tiny", or
-	// "custom" for hand-built configs the log cannot reconstruct), and
-	// PerDeviceBatch the per-worker mini-batch size.
-	Model          string `json:"model,omitempty"`
-	ModelScale     string `json:"model_scale,omitempty"`
-	PerDeviceBatch int    `json:"per_device_batch,omitempty"`
-	// Preset is the enumerate preset the plan was built with (empty for
-	// hand-assembled Options), and NumStreams the effective stream count.
-	Preset     string `json:"preset,omitempty"`
-	NumStreams int    `json:"num_streams,omitempty"`
-	// Seed, PerOpCPUUs, LaunchOverheadUs and KernelSetupUs pin the cost
-	// constants the run simulated under.
-	Seed             uint64  `json:"seed,omitempty"`
-	PerOpCPUUs       float64 `json:"per_op_cpu_us,omitempty"`
-	LaunchOverheadUs float64 `json:"launch_overhead_us,omitempty"`
-	KernelSetupUs    float64 `json:"kernel_setup_us,omitempty"`
-	// Noisy marks sessions with autoboost jitter or fault injection on;
-	// their timings are seed-path dependent and cannot be re-simulated
-	// from the log alone.
-	Noisy bool `json:"noisy,omitempty"`
+	// Spec identifies the run, stamped on every record by the wire session
+	// so a log alone suffices to rebuild the session (astra-whatif -check).
+	// Its fields flatten into the record. Older logs omit workers on
+	// single-GPU runs; readers treat 0 like 1.
+	spec.Spec
 }
 
 // EventLog writes TrialEvents as JSON Lines. The zero sink is valid: Emit

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"astra/internal/spec"
 )
 
 // TestEventLogRoundTripProfiles round-trips a record carrying the full
@@ -17,8 +19,8 @@ func TestEventLogRoundTripProfiles(t *testing.T) {
 		StartUs: 1234.5, BatchUs: 321.25,
 		Kernels: 3, Events: 6,
 		FrozenVars: 2, TotalVars: 2,
-		Workers: 2, CommUs: 55.5, WorkerUs: []float64{320, 321.25},
-		Fabric:         "pcie3",
+		CommUs: 55.5, WorkerUs: []float64{320, 321.25},
+		Spec:           spec.Spec{Workers: 2, Fabric: "pcie3"},
 		Froze:          []string{"g0.chunk", "g1.fuse"},
 		Reexplorations: 1,
 		Profiles: []BatchProfile{
@@ -60,17 +62,20 @@ func TestEventLogRoundTripProfiles(t *testing.T) {
 	}
 }
 
+// malformedEventLogs are corrupt logs ReadTrialEvents must reject;
+// FuzzReadTrialEvents seeds from them too.
+var malformedEventLogs = []struct {
+	name, in string
+}{
+	{"truncated object", `{"batch":1,"trial"`},
+	{"wrong field type", `{"batch":"seven"}`},
+	{"bare word", "wired\n"},
+	{"bad line after good", "{\"batch\":1}\n{\"batch\":2}\n[1,2\n"},
+	{"bad profile payload", `{"batch":1,"profiles":[{"worker":"zero"}]}`},
+}
+
 func TestReadTrialEventsMalformedLines(t *testing.T) {
-	cases := []struct {
-		name, in string
-	}{
-		{"truncated object", `{"batch":1,"trial"`},
-		{"wrong field type", `{"batch":"seven"}`},
-		{"bare word", "wired\n"},
-		{"bad line after good", "{\"batch\":1}\n{\"batch\":2}\n[1,2\n"},
-		{"bad profile payload", `{"batch":1,"profiles":[{"worker":"zero"}]}`},
-	}
-	for _, tc := range cases {
+	for _, tc := range malformedEventLogs {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := ReadTrialEvents(strings.NewReader(tc.in)); err == nil {
 				t.Fatalf("accepted %q", tc.in)

@@ -7,13 +7,13 @@ import (
 )
 
 // FuzzIndexLoad hardens the snapshot loader: arbitrary bytes — corrupt,
-// truncated, hostile, or valid v1/v2 saves — must either load cleanly or
-// return an error, never panic. A successfully loaded index must survive a
+// truncated, hostile, retired-format, or valid v2 saves — must either load
+// cleanly or return an error, never panic. A successfully loaded index must survive a
 // Save/Load round trip.
 func FuzzIndexLoad(f *testing.F) {
 	// Current v2 multi-sample format.
 	f.Add([]byte(`{"version":2,"entries":{"root#gemm.chunk=4":{"count":3,"mean":12.5,"m2":0.3,"trial":7}}}`))
-	// Legacy (pre-versioning) single-sample format.
+	// The retired version-less single-sample format: hostile input now.
 	f.Add([]byte(`{"entries":{"root#gemm.chunk=4":{"ValueUs":12.5,"Trial":3}}}`))
 	// Truncated mid-entry.
 	f.Add([]byte(`{"version":2,"entries":{"a":{"count":`))

@@ -531,8 +531,8 @@ func (ix *Index) Dump() string {
 }
 
 // snapshotVersion is the current serialized format. Version 2 added
-// multi-sample statistics; version-0/1 files (no version field) hold one
-// Measurement per key and load as single-sample statistics.
+// multi-sample statistics; nothing writes the earlier version-less
+// single-sample format any more, and Load rejects it.
 const snapshotVersion = 2
 
 // snapshotEntry is the serialized per-key record of the v2 format.
@@ -546,13 +546,6 @@ type snapshotEntry struct {
 type snapshotFile struct {
 	Version int                      `json:"version"`
 	Entries map[string]snapshotEntry `json:"entries"`
-}
-
-// legacyEntry matches the pre-versioning single-sample snapshot format
-// (Measurement serialized with Go's default field names).
-type legacyEntry struct {
-	ValueUs float64 `json:"ValueUs"`
-	Trial   int     `json:"Trial"`
 }
 
 // Save serializes the index as versioned JSON. A saved index warm-starts a
@@ -593,44 +586,29 @@ const (
 // LoadReplace, the historical behaviour).
 func (ix *Index) SetLoadMode(m LoadMode) { ix.loadMode.Store(int32(m)) }
 
-// Load installs a Save'd snapshot, accepting both the current multi-sample
-// format and legacy single-sample saves (which load as one-sample
-// statistics). Under the default LoadReplace mode the snapshot replaces the
-// contents and resets the query statistics, session sample counter and
-// trial tag — counters accumulated before the load belong to a different
-// session, and keeping them would corrupt warm-start reporting and the
-// explorer's progress guard. Under LoadMerge (SetLoadMode) the snapshot
-// merges into the live contents and every counter is preserved.
+// Load installs a Save'd snapshot. A malformed snapshot, or one of another
+// version, is rejected with an error and leaves the index untouched. Under
+// the default LoadReplace mode the snapshot replaces the contents and
+// resets the query statistics, session sample counter and trial tag —
+// counters accumulated before the load belong to a different session, and
+// keeping them would corrupt warm-start reporting and the explorer's
+// progress guard. Under LoadMerge (SetLoadMode) the snapshot merges into
+// the live contents and every counter is preserved.
 func (ix *Index) Load(r io.Reader) error {
-	var raw struct {
-		Version int                        `json:"version"`
-		Entries map[string]json.RawMessage `json:"entries"`
-	}
-	if err := json.NewDecoder(r).Decode(&raw); err != nil {
+	var snap snapshotFile
+	if err := json.NewDecoder(r).Decode(&snap); err != nil {
 		return fmt.Errorf("profile: load: %w", err)
 	}
-	if raw.Version > snapshotVersion {
-		return fmt.Errorf("profile: load: snapshot version %d newer than supported %d", raw.Version, snapshotVersion)
+	if snap.Version != snapshotVersion {
+		return fmt.Errorf("profile: load: snapshot version %d, want %d (version-less snapshots predate multi-sample statistics and are no longer read)", snap.Version, snapshotVersion)
 	}
-	m := make(map[Key]Stats, len(raw.Entries))
-	for k, msg := range raw.Entries {
-		if raw.Version >= 2 {
-			var e snapshotEntry
-			if err := json.Unmarshal(msg, &e); err != nil {
-				return fmt.Errorf("profile: load: entry %q: %w", k, err)
-			}
-			count := e.Count
-			if count < 1 {
-				count = 1
-			}
-			m[Key(Intern(k))] = Stats{Count: count, Mean: e.Mean, M2: e.M2, Trial: e.Trial}
-		} else {
-			var e legacyEntry
-			if err := json.Unmarshal(msg, &e); err != nil {
-				return fmt.Errorf("profile: load: legacy entry %q: %w", k, err)
-			}
-			m[Key(Intern(k))] = Stats{Count: 1, Mean: e.ValueUs, Trial: e.Trial}
+	m := make(map[Key]Stats, len(snap.Entries))
+	for k, e := range snap.Entries {
+		count := e.Count
+		if count < 1 {
+			count = 1
 		}
+		m[Key(Intern(k))] = Stats{Count: count, Mean: e.Mean, M2: e.M2, Trial: e.Trial}
 	}
 	if LoadMode(ix.loadMode.Load()) == LoadMerge {
 		// Merge: live entries win (first-measurement-wins, matching

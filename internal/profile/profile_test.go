@@ -294,23 +294,20 @@ func TestVersionedSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLegacySingleSampleSnapshotLoads(t *testing.T) {
-	// A pre-versioning snapshot (no version field, Measurement-shaped
-	// entries) must load as single-sample statistics.
-	legacy := `{"entries":{"ctx#v=a":{"ValueUs":12.5,"Trial":7},"#w=b":{"ValueUs":3,"Trial":0}}}`
+func TestVersionlessSnapshotRejected(t *testing.T) {
+	// The pre-versioning single-sample format (no version field,
+	// Measurement-shaped entries) is no longer read: Load must fail
+	// cleanly and leave the index exactly as it was.
 	ix := NewIndex()
-	if err := ix.Load(strings.NewReader(legacy)); err != nil {
-		t.Fatal(err)
+	ix.Record(K("ctx", "v", "kept"), 4)
+	before := ix.Dump()
+	legacy := `{"entries":{"ctx#v=a":{"ValueUs":12.5,"Trial":7},"#w=b":{"ValueUs":3,"Trial":0}}}`
+	err := ix.Load(strings.NewReader(legacy))
+	if err == nil || !strings.Contains(err.Error(), "version 0") {
+		t.Fatalf("Load(version-less) = %v, want a version error", err)
 	}
-	if ix.Len() != 2 {
-		t.Fatalf("Len = %d", ix.Len())
-	}
-	st, ok := ix.LookupStats(K("ctx", "v", "a"))
-	if !ok || st.Count != 1 || st.Mean != 12.5 || st.Trial != 7 {
-		t.Fatalf("legacy stats = %+v %v", st, ok)
-	}
-	if !ix.Has(K("ctx", "v", "a")) {
-		t.Fatal("legacy entry not measured under default policy")
+	if ix.Len() != 1 || ix.Dump() != before {
+		t.Fatalf("rejected snapshot changed the index:\n%s\nwant\n%s", ix.Dump(), before)
 	}
 	// A future version must be rejected, not silently misread.
 	if err := ix.Load(strings.NewReader(`{"version":99,"entries":{}}`)); err == nil {

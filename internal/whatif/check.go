@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"math"
 
-	"astra/internal/distsim"
-	"astra/internal/enumerate"
 	"astra/internal/gpusim"
-	"astra/internal/models"
 	"astra/internal/obs"
+	"astra/internal/spec"
 	"astra/internal/wire"
 )
 
@@ -41,32 +39,11 @@ type CheckReport struct {
 // OK reports whether every cell passed.
 func (r *CheckReport) OK() bool { return len(r.Failures) == 0 }
 
-// validPreset guards enumerate.PresetOptions, which panics on unknown names.
-func validPreset(p string) bool {
-	switch enumerate.Preset(p) {
-	case enumerate.PresetF, enumerate.PresetFK, enumerate.PresetFKS, enumerate.PresetAll:
-		return true
-	}
-	return false
-}
-
 // checkable rejects logs Check cannot ground-truth: replay handles them
-// fine, but re-simulation needs to rebuild the exact session from metadata.
-func checkable(events []obs.TrialEvent, meta RunMeta) error {
-	if !meta.HasMeta {
-		return fmt.Errorf("whatif: event log carries no session metadata (predates stamping); -check needs a fresh recording")
-	}
+// fine, but re-simulation needs to rebuild the exact session from its spec.
+func checkable(events []obs.TrialEvent, meta spec.Spec) error {
 	if meta.Model == "" {
-		return fmt.Errorf("whatif: event log names no model; cannot rebuild the session")
-	}
-	if _, ok := models.Get(meta.Model); !ok {
-		return fmt.Errorf("whatif: recorded model %q is not in the zoo", meta.Model)
-	}
-	if meta.ModelScale != "default" && meta.ModelScale != "tiny" {
-		return fmt.Errorf("whatif: recorded model scale %q is not reconstructible (only default/tiny are)", meta.ModelScale)
-	}
-	if !validPreset(meta.Preset) {
-		return fmt.Errorf("whatif: recorded preset %q is not a known enumeration preset", meta.Preset)
+		return fmt.Errorf("whatif: event log carries no session metadata (predates stamping); -check needs a fresh recording")
 	}
 	if meta.Noisy {
 		return fmt.Errorf("whatif: recorded run used a noisy device (autoboost or fault injection); ground truth is not reproducible")
@@ -82,60 +59,15 @@ func checkable(events []obs.TrialEvent, meta RunMeta) error {
 	return nil
 }
 
-// rebuildSession reconstructs the recorded session from the log metadata:
-// same model and scale, same preset and stream count, same device cost
-// constants, same fabric and ring. The returned session has not stepped.
-func rebuildSession(meta RunMeta) (*wire.Session, error) {
-	build, _ := models.Get(meta.Model)
-	var mcfg models.Config
-	if meta.ModelScale == "tiny" {
-		mcfg = models.TinyConfig(meta.Model, meta.PerDeviceBatch)
-	} else {
-		mcfg = models.DefaultConfig(meta.Model, meta.PerDeviceBatch)
-	}
-	eopts := enumerate.PresetOptions(enumerate.Preset(meta.Preset))
-	if meta.NumStreams > 0 {
-		eopts.NumStreams = meta.NumStreams
-	}
-	dev := gpusim.P100()
-	dev.Seed = meta.Seed
-	dev.LaunchOverheadUs = meta.LaunchOverheadUs
-	dev.KernelSetupUs = meta.KernelSetupUs
-	var comm wire.CommConfig
-	if meta.Workers >= 2 {
-		ic, ok := distsim.FabricByName(meta.Fabric)
-		if !ok {
-			return nil, fmt.Errorf("whatif: recorded fabric %q is not a known interconnect", meta.Fabric)
-		}
-		comm = wire.CommConfig{
-			Workers:    meta.Workers,
-			BytesPerUs: ic.BytesPerUs,
-			LatencyUs:  ic.LatencyUs,
-			Fabric:     ic.Name,
-		}
-		eopts.CommAdapt = true
-		eopts.Workers = meta.Workers
-	}
-	return wire.NewSession(build(mcfg), wire.SessionConfig{
-		Device:  dev,
-		Options: eopts,
-		Runner:  wire.RunnerConfig{PerOpCPUUs: meta.PerOpCPUUs},
-		Comm:    comm,
-	}), nil
-}
-
 // groundTruth re-simulates one scenario's wired batch with the real
 // simulator: a fresh device carrying the perturbed cost constants (class
 // overrides, scaled launch overhead) steps the already-wired plan once.
 // Replicas are identical (the device is noise-free, Check guarantees it),
 // so one rank-0 runner IS the cluster step — the same solo-reference
 // pattern internal/distsim uses.
-func groundTruth(s *wire.Session, meta RunMeta, pert Perturbation) (float64, error) {
-	dcfg := gpusim.P100()
-	dcfg.Seed = meta.Seed
-	dcfg.LaunchOverheadUs = meta.LaunchOverheadUs * pert.launchFactor()
-	dcfg.KernelSetupUs = meta.KernelSetupUs
-	dev := gpusim.NewDevice(dcfg)
+func groundTruth(s *wire.Session, meta spec.Spec, pert Perturbation) float64 {
+	cfg := wire.Config(pert.scenario(meta)) // Predict validated the perturbed fabric
+	dev := gpusim.NewDevice(cfg.Device)
 	if len(pert.Speedups) > 0 {
 		factors := map[string]float64{}
 		for class, f := range pert.Speedups { // lint:ok map-range order-independent map build
@@ -143,28 +75,10 @@ func groundTruth(s *wire.Session, meta RunMeta, pert Perturbation) (float64, err
 		}
 		dev.SetCostOverride(gpusim.CostOverride{ClassTimeFactors: factors})
 	}
-	rcfg := wire.RunnerConfig{PerOpCPUUs: meta.PerOpCPUUs, Profile: true}
-	workers := meta.Workers
-	if pert.Workers != 0 {
-		workers = pert.Workers
-	}
-	if workers >= 2 {
-		fabric := meta.Fabric
-		if pert.Fabric != "" {
-			fabric = pert.Fabric
-		}
-		ic, ok := distsim.FabricByName(fabric)
-		if !ok {
-			return 0, fmt.Errorf("whatif: unknown fabric %q", fabric)
-		}
-		rcfg.Comm = wire.CommConfig{
-			Workers:    workers,
-			BytesPerUs: ic.BytesPerUs,
-			LatencyUs:  ic.LatencyUs,
-			Fabric:     ic.Name,
-		}
-	}
-	return wire.NewRunner(s.Plan, dev, rcfg).RunBatch(nil, nil).TotalUs, nil
+	rcfg := cfg.Runner
+	rcfg.Profile = true
+	rcfg.Comm = cfg.Comm
+	return wire.NewRunner(s.Plan, dev, rcfg).RunBatch(nil, nil).TotalUs
 }
 
 // Check validates every scenario's replay prediction against ground-truth
@@ -201,9 +115,9 @@ func Check(events []obs.TrialEvent, scenarios []Scenario, tolerancePct float64, 
 		return nil, err
 	}
 
-	s, err := rebuildSession(meta)
+	s, err := wire.Build(meta, nil)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("whatif: recorded session cannot be rebuilt: %w", err)
 	}
 	s.Explore()
 	if err := s.Err(); err != nil {
@@ -225,22 +139,14 @@ func Check(events []obs.TrialEvent, scenarios []Scenario, tolerancePct float64, 
 		if pred == nil {
 			continue // skipped by a failed prediction; PredictMatrix surfaced the error
 		}
-		sim, err := groundTruth(s, meta, sc.Pert)
-		if err != nil {
-			return nil, fmt.Errorf("whatif: scenario %q: %w", sc.Name, err)
-		}
+		sim := groundTruth(s, meta, sc.Pert)
+		to := sc.Pert.scenario(meta)
 		cell := CheckCell{
 			Scenario:    sc.Name,
-			Workers:     meta.Workers,
-			Fabric:      meta.Fabric,
+			Workers:     to.Workers,
+			Fabric:      to.Fabric,
 			PredictedUs: pred.PredictedWiredUs,
 			SimulatedUs: sim,
-		}
-		if sc.Pert.Workers != 0 {
-			cell.Workers = sc.Pert.Workers
-		}
-		if sc.Pert.Fabric != "" {
-			cell.Fabric = sc.Pert.Fabric
 		}
 		if cell.Workers <= 1 {
 			cell.Fabric = ""
@@ -267,39 +173,11 @@ func Check(events []obs.TrialEvent, scenarios []Scenario, tolerancePct float64, 
 // matrix against it: build → instrument with an in-memory event sink →
 // explore → run wired batches → replay + Check. It is the round-trip proof
 // the ext-whatif harness experiment and the CI smoke job run.
-func SelfCheck(model string, batch, workers int, fabric string, preset enumerate.Preset, tiny bool, wiredSteps int, scenarios []Scenario, tolerancePct float64) (*CheckReport, error) {
-	build, ok := models.Get(model)
-	if !ok {
-		return nil, fmt.Errorf("whatif: unknown model %q", model)
+func SelfCheck(sp spec.Spec, wiredSteps int, scenarios []Scenario, tolerancePct float64) (*CheckReport, error) {
+	s, err := wire.Build(sp, nil)
+	if err != nil {
+		return nil, fmt.Errorf("whatif: %w", err)
 	}
-	var mcfg models.Config
-	if tiny {
-		mcfg = models.TinyConfig(model, batch)
-	} else {
-		mcfg = models.DefaultConfig(model, batch)
-	}
-	eopts := enumerate.PresetOptions(preset)
-	var comm wire.CommConfig
-	if workers >= 2 {
-		ic, ok := distsim.FabricByName(fabric)
-		if !ok {
-			return nil, fmt.Errorf("whatif: unknown fabric %q", fabric)
-		}
-		comm = wire.CommConfig{
-			Workers:    workers,
-			BytesPerUs: ic.BytesPerUs,
-			LatencyUs:  ic.LatencyUs,
-			Fabric:     ic.Name,
-		}
-		eopts.CommAdapt = true
-		eopts.Workers = workers
-	}
-	s := wire.NewSession(build(mcfg), wire.SessionConfig{
-		Device:  gpusim.P100(),
-		Options: eopts,
-		Runner:  wire.RunnerConfig{PerOpCPUUs: 2},
-		Comm:    comm,
-	})
 	var buf bytes.Buffer
 	tel := obs.NewTelemetry()
 	tel.SetEventSink(&buf)

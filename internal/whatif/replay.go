@@ -4,8 +4,8 @@ import (
 	"math"
 
 	"astra/internal/analyze"
-	"astra/internal/distsim"
 	"astra/internal/obs"
+	"astra/internal/spec"
 )
 
 // commRecost re-costs communication kernels for a fabric swap, a ring
@@ -17,14 +17,14 @@ import (
 // of the new ring (stepsNew steps per bucket, 1/bucketFactor buckets), each
 // running the new per-step time.
 type commRecost struct {
-	old, new distsim.Interconnect
+	old, new spec.Interconnect
 	nOld     int
 	nNew     int
 	bf       float64
 	ratio    float64 // replayed comm kernels per recorded one
 }
 
-func newCommRecost(meta RunMeta, pert Perturbation) *commRecost {
+func newCommRecost(meta spec.Spec, pert Perturbation) *commRecost {
 	bf := pert.bucketFactor()
 	if pert.Fabric == "" && pert.Workers == 0 && bf == 1 {
 		return nil
@@ -32,14 +32,10 @@ func newCommRecost(meta RunMeta, pert Perturbation) *commRecost {
 	if meta.Workers < 2 {
 		return nil // validated earlier; single-GPU logs have no comm kernels
 	}
-	old, _ := distsim.FabricByName(meta.Fabric)
-	cr := &commRecost{old: old, new: old, nOld: meta.Workers, nNew: meta.Workers, bf: bf}
-	if pert.Fabric != "" {
-		cr.new, _ = distsim.FabricByName(pert.Fabric)
-	}
-	if pert.Workers != 0 {
-		cr.nNew = pert.Workers
-	}
+	to := pert.scenario(meta)
+	old, _ := spec.FabricByName(meta.Fabric)
+	cr := &commRecost{old: old, nOld: meta.Workers, nNew: to.Workers, bf: bf}
+	cr.new, _ = spec.FabricByName(to.Fabric)
 	if cr.new == cr.old && cr.nNew == cr.nOld && cr.bf == 1 {
 		return nil
 	}
@@ -74,7 +70,7 @@ const commSetupUs = 0.5
 // start and duration are both untouched copies its recorded EndUs rather
 // than recomputing start+duration, so identity replays are bit-exact and
 // class speedups are exactly monotone.
-func replayProfile(p *obs.BatchProfile, meta RunMeta, pert Perturbation, cr *commRecost) obs.BatchProfile {
+func replayProfile(p *obs.BatchProfile, meta spec.Spec, pert Perturbation, cr *commRecost) obs.BatchProfile {
 	n := len(p.Kernels)
 	deps := analyze.Dependencies(p)
 	lf := pert.launchFactor()
@@ -238,7 +234,7 @@ func replayProfile(p *obs.BatchProfile, meta RunMeta, pert Perturbation, cr *com
 
 // predictEvent replays one event's per-worker profiles and rebuilds the
 // event envelope around the predictions.
-func predictEvent(ev *obs.TrialEvent, meta RunMeta, pert Perturbation) (obs.TrialEvent, error) {
+func predictEvent(ev *obs.TrialEvent, meta spec.Spec, pert Perturbation) (obs.TrialEvent, error) {
 	out := *ev
 	if len(ev.Profiles) == 0 {
 		// Nothing to replay; the recorded time is the only estimate.
@@ -278,14 +274,14 @@ func predictEvent(ev *obs.TrialEvent, meta RunMeta, pert Perturbation) (obs.Tria
 		}
 	}
 	if cr != nil && cr.nNew <= 1 {
-		out.Workers, out.WorkerUs, out.Fabric, out.CommUs = 0, nil, "", 0
+		out.Workers, out.WorkerUs, out.Fabric, out.CommUs = 1, nil, "", 0
 	}
 	// Comm link-busy time and kernel count re-derive from worker 0's
 	// replayed timeline, mirroring the runner's accounting.
 	if len(out.Profiles) > 0 {
 		p0 := &out.Profiles[0]
 		out.Kernels = len(p0.Kernels)
-		if out.Workers > 0 {
+		if out.Workers >= 2 {
 			comm := 0.0
 			for i := range p0.Kernels {
 				k := &p0.Kernels[i]

@@ -28,9 +28,9 @@ import (
 	"strings"
 
 	"astra/internal/analyze"
-	"astra/internal/distsim"
 	"astra/internal/obs"
 	"astra/internal/parallel"
+	"astra/internal/spec"
 )
 
 // Perturbation describes one hypothetical change to a recorded run. The
@@ -44,7 +44,7 @@ type Perturbation struct {
 	// LaunchFactor scales the CPU-side kernel launch overhead (0.5 = a
 	// twice-as-fast dispatcher). 0 or 1 leaves it unchanged.
 	LaunchFactor float64
-	// Fabric swaps the gradient-exchange interconnect (distsim fabric
+	// Fabric swaps the gradient-exchange interconnect (spec fabric
 	// names); "" keeps the recorded fabric. Requires a multi-worker
 	// recording.
 	Fabric string
@@ -88,8 +88,21 @@ func (p Perturbation) bucketFactor() float64 {
 	return p.BucketFactor
 }
 
+// scenario returns the run the perturbation describes: the recorded spec
+// with its launch overhead scaled and its ring and fabric replaced.
+func (p Perturbation) scenario(sp spec.Spec) spec.Spec {
+	sp.LaunchOverheadUs *= p.launchFactor()
+	if p.Workers != 0 {
+		sp.Workers = p.Workers
+	}
+	if p.Fabric != "" {
+		sp.Fabric = p.Fabric
+	}
+	return sp
+}
+
 // validate checks the perturbation against the recorded run's metadata.
-func (p Perturbation) validate(meta RunMeta) error {
+func (p Perturbation) validate(meta spec.Spec) error {
 	classes := make([]string, 0, len(p.Speedups))
 	for class := range p.Speedups { // lint:ok map-range sorted below
 		classes = append(classes, class)
@@ -114,20 +127,16 @@ func (p Perturbation) validate(meta RunMeta) error {
 	if p.Workers < 0 {
 		return fmt.Errorf("whatif: worker count must be positive, got %d", p.Workers)
 	}
-	if p.Fabric != "" {
-		if _, ok := distsim.FabricByName(p.Fabric); !ok {
-			return fmt.Errorf("whatif: unknown fabric %q (valid: %s)",
-				p.Fabric, strings.Join(fabricNames(), ", "))
-		}
+	if _, ok := spec.FabricByName(p.Fabric); !ok && p.Fabric != "" {
+		return fmt.Errorf("whatif: unknown fabric %q (valid: %s)",
+			p.Fabric, strings.Join(spec.FabricNames(), ", "))
 	}
 	commChange := p.Fabric != "" || p.Workers > 1 || p.bucketFactor() != 1
 	if commChange && meta.Workers < 2 {
 		return fmt.Errorf("whatif: recorded run is single-GPU (no gradient exchange to re-cost); fabric/workers/bucket perturbations need a -workers >= 2 recording")
 	}
-	if meta.Workers >= 2 && (p.Fabric != "" || p.Workers != 0 || p.bucketFactor() != 1) {
-		if _, ok := distsim.FabricByName(meta.Fabric); !ok {
-			return fmt.Errorf("whatif: recorded fabric %q is not a known interconnect; cannot re-cost communication", meta.Fabric)
-		}
+	if _, ok := spec.FabricByName(meta.Fabric); !ok && meta.Workers >= 2 && (commChange || p.Workers != 0) {
+		return fmt.Errorf("whatif: recorded fabric %q is not a known interconnect; cannot re-cost communication", meta.Fabric)
 	}
 	return nil
 }
@@ -141,69 +150,27 @@ func validClass(c string) bool {
 	return false
 }
 
-func fabricNames() []string {
-	var out []string
-	for _, ic := range distsim.Fabrics() {
-		out = append(out, ic.Name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Scenario is a named perturbation — one cell of a what-if matrix.
 type Scenario struct {
 	Name string       `json:"name"`
 	Pert Perturbation `json:"perturbation"`
 }
 
-// RunMeta pins the recorded session's construction facts, read from the
-// metadata the wire session stamps on every event record. Older logs
-// without metadata fall back to the simulator defaults (good enough for
-// replay; Check refuses them).
-type RunMeta struct {
-	Model            string  `json:"model,omitempty"`
-	ModelScale       string  `json:"model_scale,omitempty"`
-	PerDeviceBatch   int     `json:"per_device_batch,omitempty"`
-	Preset           string  `json:"preset,omitempty"`
-	NumStreams       int     `json:"num_streams,omitempty"`
-	Seed             uint64  `json:"seed,omitempty"`
-	PerOpCPUUs       float64 `json:"per_op_cpu_us"`
-	LaunchOverheadUs float64 `json:"launch_overhead_us"`
-	KernelSetupUs    float64 `json:"kernel_setup_us"`
-	Workers          int     `json:"workers"`
-	Fabric           string  `json:"fabric,omitempty"`
-	Noisy            bool    `json:"noisy,omitempty"`
-	// HasMeta reports whether the log carried session metadata at all.
-	HasMeta bool `json:"has_meta"`
-}
-
-// MetaFromEvents extracts the run metadata from an event log. Cost
-// constants default to the P100 configuration (launch 7 µs, setup 1.5 µs,
-// per-op CPU 2 µs) when the log predates metadata stamping.
-func MetaFromEvents(events []obs.TrialEvent) RunMeta {
-	meta := RunMeta{PerOpCPUUs: 2, LaunchOverheadUs: 7, KernelSetupUs: 1.5, Workers: 1}
-	for i := range events {
-		ev := &events[i]
-		if ev.Workers > meta.Workers {
-			meta.Workers = ev.Workers
+// MetaFromEvents extracts the recorded run's spec from the metadata the
+// wire session stamps on every event record. A log that predates stamping
+// (no model) gets the stock cost constants and the ring its records carry:
+// good enough for replay, while Check refuses it.
+func MetaFromEvents(events []obs.TrialEvent) spec.Spec {
+	meta := spec.New("", "", 0, "")
+	if len(events) > 0 {
+		if ev := events[0].Spec; ev.Model != "" {
+			meta = ev
+		} else {
+			meta.Workers, meta.Fabric = ev.Workers, ev.Fabric
 		}
-		if ev.Fabric != "" {
-			meta.Fabric = ev.Fabric
-		}
-		if ev.Model == "" {
-			continue
-		}
-		meta.HasMeta = true
-		meta.Model = ev.Model
-		meta.ModelScale = ev.ModelScale
-		meta.PerDeviceBatch = ev.PerDeviceBatch
-		meta.Preset = ev.Preset
-		meta.NumStreams = ev.NumStreams
-		meta.Seed = ev.Seed
-		meta.PerOpCPUUs = ev.PerOpCPUUs
-		meta.LaunchOverheadUs = ev.LaunchOverheadUs
-		meta.KernelSetupUs = ev.KernelSetupUs
-		meta.Noisy = meta.Noisy || ev.Noisy
+	}
+	if meta.Workers < 1 {
+		meta.Workers = 1 // single-GPU logs written before workers was stamped
 	}
 	return meta
 }
@@ -219,8 +186,8 @@ type BatchPrediction struct {
 
 // Prediction is the replay of one scenario over a whole event log.
 type Prediction struct {
-	Scenario Scenario `json:"scenario"`
-	Meta     RunMeta  `json:"meta"`
+	Scenario Scenario  `json:"scenario"`
+	Meta     spec.Spec `json:"meta"`
 	// Batches holds every replayed batch in log order.
 	Batches []BatchPrediction `json:"batches"`
 	// RecordedTotalUs/PredictedTotalUs sum the batch times over the log.

@@ -2,16 +2,16 @@ package whatif
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 
 	"astra/internal/analyze"
-	"astra/internal/distsim"
 	"astra/internal/enumerate"
-	"astra/internal/gpusim"
-	"astra/internal/models"
 	"astra/internal/obs"
+	"astra/internal/spec"
 	"astra/internal/wire"
 )
 
@@ -19,27 +19,14 @@ import (
 // log: explore to convergence, then `wired` post-exploration batches.
 func recordRun(t *testing.T, model string, preset enumerate.Preset, workers int, fabric string, wired int) []obs.TrialEvent {
 	t.Helper()
-	build, ok := models.Get(model)
-	if !ok {
-		t.Fatalf("unknown model %q", model)
-	}
-	eopts := enumerate.PresetOptions(preset)
-	var comm wire.CommConfig
+	sp := spec.New(model, spec.ScaleTiny, 4, string(preset))
 	if workers >= 2 {
-		ic, ok := distsim.FabricByName(fabric)
-		if !ok {
-			t.Fatalf("unknown fabric %q", fabric)
-		}
-		comm = wire.CommConfig{Workers: workers, BytesPerUs: ic.BytesPerUs, LatencyUs: ic.LatencyUs, Fabric: ic.Name}
-		eopts.CommAdapt = true
-		eopts.Workers = workers
+		sp.Workers, sp.Fabric = workers, fabric
 	}
-	s := wire.NewSession(build(models.TinyConfig(model, 4)), wire.SessionConfig{
-		Device:  gpusim.P100(),
-		Options: eopts,
-		Runner:  wire.RunnerConfig{PerOpCPUUs: 2},
-		Comm:    comm,
-	})
+	s, err := wire.Build(sp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	tel := obs.NewTelemetry()
 	tel.SetEventSink(&buf)
@@ -63,7 +50,7 @@ func recordRun(t *testing.T, model string, preset enumerate.Preset, workers int,
 // every model bit-for-bit — zero tolerance. The predicted log must also
 // survive the analyzer's exact reconciliation (Verify).
 func TestIdentityExactEveryModel(t *testing.T) {
-	for _, model := range models.Names() {
+	for _, model := range spec.Models() {
 		model := model
 		t.Run(model, func(t *testing.T) {
 			t.Parallel()
@@ -171,7 +158,9 @@ func TestCheckMatrixWithinTolerance(t *testing.T) {
 		NewScenario(Perturbation{Speedups: map[string]float64{obs.ClassGEMM: 2}}),
 		NewScenario(Perturbation{LaunchFactor: 0.5}),
 	)
-	rep, err := SelfCheck("sublstm", 4, 2, "pcie3", enumerate.PresetFK, true, 2, scenarios, 5)
+	sp := spec.New("sublstm", spec.ScaleTiny, 4, spec.PresetFK)
+	sp.Workers, sp.Fabric = 2, "pcie3"
+	rep, err := SelfCheck(sp, 2, scenarios, 5)
 	if err != nil {
 		t.Fatalf("SelfCheck: %v", err)
 	}
@@ -197,7 +186,7 @@ func TestCheckSingleGPUSpeedups(t *testing.T) {
 		NewScenario(Perturbation{LaunchFactor: 0.5}),
 		NewScenario(Perturbation{LaunchFactor: 2}),
 	}
-	rep, err := SelfCheck("scrnn", 4, 1, "", enumerate.PresetFK, true, 2, scenarios, 5)
+	rep, err := SelfCheck(spec.New("scrnn", spec.ScaleTiny, 4, spec.PresetFK), 2, scenarios, 5)
 	if err != nil {
 		t.Fatalf("SelfCheck: %v", err)
 	}
@@ -330,12 +319,12 @@ func TestScenarioNames(t *testing.T) {
 }
 
 // TestMetaFromEvents: stamped logs round-trip the session facts; bare logs
-// fall back to simulator defaults with HasMeta false.
+// fall back to simulator defaults and name no model.
 func TestMetaFromEvents(t *testing.T) {
 	t.Parallel()
 	events := recordRun(t, "sublstm", enumerate.PresetFK, 2, "nvlink1", 1)
 	meta := MetaFromEvents(events)
-	if !meta.HasMeta || meta.Model != "sublstm" || meta.ModelScale != "tiny" ||
+	if meta.Model != "sublstm" || meta.Scale != "tiny" ||
 		meta.Preset != string(enumerate.PresetFK) || meta.Workers != 2 || meta.Fabric != "nvlink1" {
 		t.Fatalf("meta = %+v", meta)
 	}
@@ -343,7 +332,43 @@ func TestMetaFromEvents(t *testing.T) {
 		t.Fatalf("cost constants = %+v", meta)
 	}
 	bare := MetaFromEvents([]obs.TrialEvent{{Batch: 0, BatchUs: 10}})
-	if bare.HasMeta || bare.Workers != 1 || bare.LaunchOverheadUs != 7 {
+	if bare.Model != "" || bare.Workers != 1 || bare.LaunchOverheadUs != 7 {
 		t.Fatalf("bare meta = %+v", bare)
+	}
+}
+
+// TestPreSpecLogStillChecks decodes an event log recorded before the
+// session spec had its own type (tiny sublstm, F preset, 2 workers over
+// pcie3; gzipped JSONL) and proves it still rebuilds its session: the
+// metadata decodes to the expected spec and Check reproduces the recorded
+// wired batch exactly and validates a fabric/ring scenario panel.
+func TestPreSpecLogStillChecks(t *testing.T) {
+	t.Parallel()
+	f, err := os.Open("testdata/sublstm-tiny-2w-pcie3.jsonl.gz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := obs.ReadTrialEvents(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := spec.New("sublstm", spec.ScaleTiny, 2, spec.PresetF)
+	want.Streams = 2 // the log records the effective stream count
+	want.Workers, want.Fabric = 2, "pcie3"
+	if meta := MetaFromEvents(events); meta != want {
+		t.Fatalf("decoded %+v, want %+v", meta, want)
+	}
+	scenarios := MatrixScenarios([]string{"pcie3", "nvlink1"}, []int{1, 2, 4})
+	rep, err := Check(events, scenarios, 5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() || rep.BaseSimulatedUs != rep.BaseRecordedUs {
+		t.Fatalf("check failed (base %v vs %v):\n%s", rep.BaseSimulatedUs, rep.BaseRecordedUs, strings.Join(rep.Failures, "\n"))
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"astra/internal/models"
 	"astra/internal/obs"
 	"astra/internal/profile"
+	"astra/internal/spec"
 	"astra/internal/verify"
 )
 
@@ -90,24 +91,7 @@ type Session struct {
 	driftEWMA     float64
 	driftBreach   int
 
-	meta sessionMeta
-}
-
-// sessionMeta pins the construction facts of the session — the model, its
-// scale, and the cost constants the devices simulate under. It is stamped
-// onto every event-log record so astra-whatif -check can rebuild an
-// equivalent session from the log alone.
-type sessionMeta struct {
-	Model            string
-	ModelScale       string
-	PerDeviceBatch   int
-	Preset           string
-	NumStreams       int
-	Seed             uint64
-	PerOpCPUUs       float64
-	LaunchOverheadUs float64
-	KernelSetupUs    float64
-	Noisy            bool
+	spec spec.Spec
 }
 
 // DriftConfig tunes the wired-phase drift watchdog (§4.6: hardware drift —
@@ -277,18 +261,7 @@ func NewSession(m *models.Model, cfg SessionConfig) *Session {
 	if cfg.EvalValues {
 		s.Params = m.G.InitialParams()
 	}
-	s.meta = sessionMeta{
-		Model:            m.Name,
-		ModelScale:       modelScale(m),
-		PerDeviceBatch:   m.Cfg.Batch,
-		Preset:           plan.Opts.Preset,
-		NumStreams:       plan.Opts.NumStreams,
-		Seed:             cfg.Device.Seed,
-		PerOpCPUUs:       cfg.Runner.PerOpCPUUs,
-		LaunchOverheadUs: cfg.Device.LaunchOverheadUs,
-		KernelSetupUs:    cfg.Device.KernelSetupUs,
-		Noisy:            cfg.Device.Autoboost || cfg.Device.Faults.Enabled(),
-	}
+	s.spec = stamp(m, cfg)
 	if plan.Tree != nil {
 		s.Exp = adapt.NewExplorerPrior(plan.Tree, s.Ix, cfg.ProfileContext, cfg.Prior)
 	}
@@ -514,9 +487,7 @@ func (s *Session) recordBatchTelemetry(res *BatchResult, bindings map[string]str
 	reused, allocated := s.Runner.Dev.PoolCounters()
 	tel.Metrics.Gauge("sim.pool_reused", "").Set(float64(reused))
 	tel.Metrics.Gauge("sim.pool_allocated", "").Set(float64(allocated))
-	workers := 0
 	if len(res.WorkerUs) > 0 {
-		workers = len(res.WorkerUs)
 		tel.Metrics.Histogram("distsim.comm_us", "").Observe(res.CommUs)
 		tel.Metrics.Counter("distsim.comm_kernels", "").Add(float64(res.CommKernels))
 		tel.Trace.AddCounter(obs.PIDExplore, "distsim.comm_us", endUs, map[string]float64{"us": res.CommUs})
@@ -545,11 +516,9 @@ func (s *Session) recordBatchTelemetry(res *BatchResult, bindings map[string]str
 		Bindings:       bindings,
 		Metrics:        res.Metrics,
 		Drift:          drift,
-		Workers:        workers,
 		CommUs:         res.CommUs,
 		WorkerUs:       res.WorkerUs,
 		VerifyFindings: append([]string(nil), s.stepVerify...),
-		Fabric:         s.Runner.Cfg.Comm.Fabric,
 		Froze:          froze,
 		Reexplorations: reexp,
 		PriorHits:      pstats.Hits,
@@ -557,17 +526,7 @@ func (s *Session) recordBatchTelemetry(res *BatchResult, bindings map[string]str
 		PriorPruned:    pstats.Pruned,
 		PriorRankInv:   pstats.RankInversions,
 		Profiles:       s.collectProfiles(),
-
-		Model:            s.meta.Model,
-		ModelScale:       s.meta.ModelScale,
-		PerDeviceBatch:   s.meta.PerDeviceBatch,
-		Preset:           s.meta.Preset,
-		NumStreams:       s.meta.NumStreams,
-		Seed:             s.meta.Seed,
-		PerOpCPUUs:       s.meta.PerOpCPUUs,
-		LaunchOverheadUs: s.meta.LaunchOverheadUs,
-		KernelSetupUs:    s.meta.KernelSetupUs,
-		Noisy:            s.meta.Noisy,
+		Spec:           s.spec,
 	}
 
 	// Fold the batch's trace analytics into the registry. The analyzer
@@ -670,29 +629,6 @@ func (s *Session) Step() BatchResult {
 	}
 	s.ClockUs += res.TotalUs
 	return res
-}
-
-// modelScale classifies how a model was sized relative to the zoo's
-// canonical configurations: "default" (§6.1 evaluation scale), "tiny" (the
-// test scale), or "custom" for hand-built configs an event log cannot
-// reconstruct. The comparison masks the RNG seed — it sizes nothing.
-func modelScale(m *models.Model) string {
-	if _, ok := models.Get(m.Name); !ok {
-		return "custom" // hand-built cell, no canonical config to compare to
-	}
-	masked := m.Cfg
-	masked.Seed = 0
-	def := models.DefaultConfig(m.Name, m.Cfg.Batch)
-	def.Seed = 0
-	if masked == def {
-		return "default"
-	}
-	tiny := models.TinyConfig(m.Name, m.Cfg.Batch)
-	tiny.Seed = 0
-	if masked == tiny {
-		return "tiny"
-	}
-	return "custom"
 }
 
 // newlyFrozen returns the IDs in cur but not prev; both inputs are sorted
